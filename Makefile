@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint bench bench-matcher bench-resilience bench-sim bench-sim-smoke bench-sim-quick bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke bench-shard bench-shard-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
+.PHONY: test lint bench bench-matcher bench-resilience bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke bench-shard bench-shard-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -28,15 +28,6 @@ bench-matcher:   ## engine comparison on the Fig 11a workload -> BENCH_matcher.j
 
 bench-resilience:   ## chaos sweep: control-plane success under signalling loss
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience_chaos.py --benchmark-only -q
-
-bench-sim:   ## scheduler comparison (fast vs reference) -> BENCH_sim.json
-	PYTHONPATH=src $(PYTHON) tools/bench_sim.py
-
-bench-sim-smoke:   ## quick drift + determinism gate, no committed output
-	PYTHONPATH=src $(PYTHON) tools/bench_sim.py --smoke --out /tmp/BENCH_sim_smoke.json
-
-bench-sim-quick:   ## 1-repeat reduced flood for local iteration, no committed output
-	PYTHONPATH=src $(PYTHON) tools/bench_sim.py --quick --out /tmp/BENCH_sim_quick.json
 
 bench-scale:   ## fluid vs packet data plane + 100k-UE scenario -> BENCH_scale.json
 	PYTHONPATH=src $(PYTHON) tools/bench_scale.py

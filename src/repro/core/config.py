@@ -344,14 +344,10 @@ SHARDING_MODES = ("off", "site")
 
 @dataclass
 class SimConfig(ConfigMapping):
-    """Selects and parameterises the discrete-event scheduler.
+    """Simulation-layer settings and the simulator factory.
 
-    ``scheduler=None`` (the default) defers to the
-    ``REPRO_SIM_SCHEDULER`` environment variable and then to the fast
-    two-lane/timer-wheel scheduler; ``"reference"`` forces the original
-    single binary heap.  Both implement the identical
-    ``(time, priority, seq)`` total order, so switching schedulers
-    changes wall-clock only, never event order or results.
+    The event queue itself has no knobs: every run uses the one
+    ``(time, priority, seq)`` queue of :class:`~repro.sim.engine.Simulator`.
 
     ``data_plane`` selects how background load traverses the network:
     ``"packet"`` (the default) simulates every background packet;
@@ -368,10 +364,6 @@ class SimConfig(ConfigMapping):
     setting changes wall-clock only, never results.
     """
 
-    scheduler: str | None = None
-    wheel_granularity: float = 1e-4
-    wheel_slots: int = 1024
-    pool_size: int = 1024
     data_plane: str = "packet"
     sharding: str = "off"
 
@@ -391,10 +383,7 @@ class SimConfig(ConfigMapping):
         """
         from repro.sim.engine import Simulator
 
-        return Simulator(scheduler=self.scheduler,
-                         wheel_granularity=self.wheel_granularity,
-                         wheel_slots=self.wheel_slots,
-                         pool_size=self.pool_size)
+        return Simulator()
 
 
 #: Available object-matching engines (see :mod:`repro.vision.batch`).

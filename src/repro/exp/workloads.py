@@ -294,7 +294,7 @@ def run_scale(trial: TrialSpec) -> dict[str, Any]:
     optional background CBR load plus a short ping train from the
     first attached UE to a MEC server.  Reports attach success/latency
     statistics, the ping median RTT, and the simulator's event count
-    -- the event count is scheduler-invariant, so it doubles as a
+    -- the event count is fixed by the seed, so it doubles as a
     determinism probe for the throughput benchmarks.
 
     Parameters (``trial.params``):
@@ -539,8 +539,8 @@ def run_shard_fabric(trial: TrialSpec) -> dict[str, Any]:
     (asserted by the differential tests and ``tools/bench_shard.py``),
     which is why it deliberately carries no backend marker -- only
     invariant quantities.  The window-round count is *not* one (the
-    window schedule follows scheduler lower bounds, so it may differ
-    across schedulers); it lives in
+    window schedule follows ``next_event_time()`` lower bounds, so it
+    may change with the event queue); it lives in
     :meth:`~repro.sim.shard.ShardedSimulator.stats` for the bench
     driver, not here.
 

@@ -4,13 +4,10 @@ This package provides the event engine, packet/link/node primitives,
 traffic generators, measurement probes and empirical WAN models on which
 the LTE/EPC, SDN and ACACIA layers are built.
 
-The engine is deliberately small and deterministic: a pluggable
-scheduler (a two-lane fast path -- zero-delay FIFO plus hierarchical
-timer wheel -- or the reference binary heap, see
-:mod:`repro.sim.scheduler`) dispatches timestamped callbacks in exact
-``(time, priority, seq)`` order, with optional generator-based
-processes on top.  Both schedulers execute every workload in the
-identical order, so switching them changes wall-clock only.  All
+The engine is deliberately small and deterministic: one event queue (a
+tuple heap plus a zero-delay FIFO now lane, see :mod:`repro.sim.engine`)
+dispatches timestamped callbacks in exact ``(time, priority, seq)``
+order, with optional generator-based processes on top.  All
 randomness is injected through :class:`numpy.random.Generator`
 instances so every experiment in the repository is reproducible from a
 seed.

@@ -2,13 +2,20 @@
 
 The simulator executes :class:`Event` records in ``(time, priority,
 sequence)`` order -- ties break by insertion order, which makes runs
-bit-for-bit reproducible.  *How* that order is maintained is delegated
-to a pluggable scheduler (:mod:`repro.sim.scheduler`): the default
-:class:`~repro.sim.scheduler.FastScheduler` routes zero-delay events
-through a FIFO now-lane and timers through a hierarchical timer wheel,
-while :class:`~repro.sim.scheduler.ReferenceScheduler` keeps the
-original single binary heap.  Both produce the exact same execution
-order; the differential tests replay workloads on each and assert it.
+bit-for-bit reproducible.  One queue inside :class:`Simulator` keeps
+that order:
+
+* a binary heap of ``(time, priority, seq, event)`` tuples, so sifting
+  compares tuples in C;
+* a FIFO *now lane* for zero-delay events at default priority -- the
+  dominant kind (process steps, future settlement).  It is sorted by
+  construction, because the clock never runs backwards and sequence
+  numbers only grow, so those events cost no ordering work.
+
+A pop takes the lesser of the two heads under the full key.  Cancelling
+an event leaves a tombstone in place (O(1)); tombstones are skipped
+when reached, and the heap is compacted in O(n) once it holds more than
+twice as many entries as there are live events.
 
 Two programming styles are supported:
 
@@ -33,21 +40,39 @@ benefit explicitly via :meth:`Event.reschedule`.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Generator, Iterable, Optional, Union
+from collections import deque
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.hooks import HookBus
-from repro.sim.scheduler import SchedulerBase, build_scheduler
+
+_INF = float("inf")
+
+#: Upper bound on the free pool of recycled internal events.
+POOL_CAP = 1024
+
+#: Heap entries tolerated beyond twice the live-event count before the
+#: heap is compacted (keeps tiny queues from compacting on every cancel).
+COMPACT_FLOOR = 64
 
 
 class SimulationError(RuntimeError):
-    """Raised for invalid scheduling requests (negative delays, etc.)."""
+    """Raised for invalid scheduling requests (negative or non-finite
+    delays, etc.)."""
+
+
+def _check_delay(delay: float) -> None:
+    # NaN fails both comparisons, so it is rejected with the infinities
+    if not 0.0 <= delay < _INF:
+        raise SimulationError(f"invalid delay {delay}: must be finite "
+                              f"and non-negative")
 
 
 class Event:
     """A scheduled callback.
 
     Events are returned by :meth:`Simulator.schedule` and can be
-    cancelled.  Cancelled events stay in their scheduler lane but are
+    cancelled.  Cancelled events stay queued as tombstones and are
     skipped (and discarded) when reached, which keeps cancellation O(1).
     """
 
@@ -55,8 +80,7 @@ class Event:
                  "_sim", "_popped", "_recyclable")
 
     def __init__(self, time: float, priority: int, seq: int,
-                 fn: Callable[..., Any], args: tuple,
-                 sim: Optional["Simulator"] = None):
+                 fn: Callable[..., Any], args: tuple, sim: "Simulator"):
         self.time = time
         self.priority = priority
         self.seq = seq
@@ -75,13 +99,16 @@ class Event:
         # keep the owning simulator's live-event counter exact: an
         # event still queued leaves the pending count when cancelled;
         # one that already ran was counted off at pop time
-        if self._sim is not None and not self._popped:
-            self._sim._live -= 1
+        if not self._popped:
+            sim = self._sim
+            sim._live -= 1
+            if len(sim._heap) > 2 * sim._live + COMPACT_FLOOR:
+                sim._compact()
 
     def reschedule(self, delay: float) -> "Event":
         """Re-arm this event ``delay`` seconds from now, reusing the slot.
 
-        Only valid once the event has left the scheduler (it ran, or it
+        Only valid once the event has left the queue (it ran, or it
         was cancelled and then skipped) -- re-arming an event that is
         still queued would enqueue it twice.  Periodic sources use this
         to tick without allocating a fresh :class:`Event` per period.
@@ -89,25 +116,16 @@ class Event:
         timer.reschedule(dt)`` shaped like the allocating form.
         """
         sim = self._sim
-        if sim is None:
-            raise SimulationError("event has no owning simulator")
         if not self._popped:
             raise SimulationError(
                 "cannot reschedule an event that is still queued")
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        _check_delay(delay)
         self.time = sim.now + delay
         self.seq = next(sim._seq)
         self.cancelled = False
         self._popped = False
-        sim._scheduler.push(self, zero_delay=delay == 0.0)
-        sim._live += 1
-        sim.arm_epoch += 1
+        sim._push(self, delay)
         return self
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -243,9 +261,9 @@ class Process:
                 yielded._waiters.append(self)
         else:
             delay = float(yielded)
-            if delay < 0:
+            if not 0.0 <= delay < _INF:
                 raise SimulationError(
-                    f"process {self.name!r} yielded negative delay {delay}")
+                    f"process {self.name!r} yielded invalid delay {delay}")
             self._sim._schedule_internal(delay, self._step)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -255,20 +273,6 @@ class Process:
 
 class Simulator:
     """Single-threaded discrete-event simulator.
-
-    Parameters
-    ----------
-    scheduler:
-        A scheduler name (``"fast"`` | ``"reference"``), a ready
-        instance, or ``None`` to defer to the ``REPRO_SIM_SCHEDULER``
-        environment variable (default ``"fast"``).  See
-        :mod:`repro.sim.scheduler` and
-        :class:`repro.core.config.SimConfig`.
-    wheel_granularity / wheel_slots:
-        Timer-wheel geometry for the fast scheduler (ignored by the
-        reference one).
-    pool_size:
-        Upper bound on the free pool of recycled internal events.
 
     Attributes
     ----------
@@ -280,11 +284,7 @@ class Simulator:
         each other's methods.
     """
 
-    def __init__(self,
-                 scheduler: Union[str, SchedulerBase, None] = None,
-                 wheel_granularity: float = 1e-4,
-                 wheel_slots: int = 1024,
-                 pool_size: int = 1024) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self.hooks = HookBus()
         #: monotone counter bumped every time an event is armed (fresh,
@@ -294,29 +294,89 @@ class Simulator:
         #: cached ``next_event_time()`` bound may now be stale and must
         #: be re-sampled instead of sleeping through the old target.
         self.arm_epoch: int = 0
-        self._scheduler = build_scheduler(scheduler,
-                                          granularity=wheel_granularity,
-                                          slots=wheel_slots)
+        self._heap: list[tuple] = []            # (time, priority, seq, Event)
+        self._now_lane: deque[Event] = deque()  # zero delay, priority 0
         self._seq = itertools.count()
         self._events_run = 0
         self._live = 0          # not-yet-cancelled, not-yet-run events
+        self._heap_peak = 0
+        self._discarded = 0     # tombstones dropped at pop or compaction
+        self._compactions = 0
         self._pool: list[Event] = []
-        self._pool_size = pool_size
         self._pool_hits = 0
         self._pool_misses = 0
+
+    # -- the queue --------------------------------------------------------
+
+    def _push(self, event: Event, delay: float) -> None:
+        """Queue an armed event: the now lane takes zero-delay events at
+        default priority, the heap everything else."""
+        self._live += 1
+        self.arm_epoch += 1
+        if delay == 0.0 and event.priority == 0:
+            self._now_lane.append(event)
+            return
+        heap = self._heap
+        heappush(heap, (event.time, event.priority, event.seq, event))
+        size = len(heap)
+        if size > self._heap_peak:
+            self._heap_peak = size
+        if size > 2 * self._live + COMPACT_FLOOR:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every tombstone from the heap and re-heapify: O(n)."""
+        heap = self._heap
+        live = []
+        for entry in heap:
+            if entry[3].cancelled:
+                entry[3]._popped = True
+            else:
+                live.append(entry)
+        self._discarded += len(heap) - len(live)
+        heapify(live)
+        self._heap = live
+        self._compactions += 1
+
+    def _pop(self, until: Optional[float]) -> Optional[Event]:
+        """Remove and return the next live event, or ``None`` if the
+        queue is drained or the next event is later than ``until``."""
+        lane = self._now_lane
+        heap = self._heap
+        while True:
+            if lane:
+                event = lane[0]
+                from_lane = True
+                if heap and heap[0] < (event.time, 0, event.seq):
+                    event = heap[0][3]
+                    from_lane = False
+            elif heap:
+                event = heap[0][3]
+                from_lane = False
+            else:
+                return None
+            if event.cancelled:
+                self._discarded += 1
+            elif until is not None and event.time > until:
+                return None
+            if from_lane:
+                lane.popleft()
+            else:
+                heappop(heap)
+            event._popped = True
+            if not event.cancelled:
+                self._live -= 1
+                return event
 
     # -- scheduling -----------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable[..., Any],
                  *args: Any, priority: int = 0) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        _check_delay(delay)
         event = Event(self.now + delay, priority, next(self._seq), fn, args,
-                      sim=self)
-        self._scheduler.push(event, zero_delay=delay == 0.0)
-        self._live += 1
-        self.arm_epoch += 1
+                      self)
+        self._push(event, delay)
         return event
 
     def _schedule_internal(self, delay: float, fn: Callable[..., Any],
@@ -336,15 +396,19 @@ class Simulator:
         else:
             self._pool_misses += 1
             event = Event(self.now + delay, 0, next(self._seq), fn, args,
-                          sim=self)
+                          self)
             event._recyclable = True
-        self._scheduler.push(event, zero_delay=delay == 0.0)
-        self._live += 1
-        self.arm_epoch += 1
+        self._push(event, delay)
 
     def _schedule_step(self, fn: Callable[..., Any], *args: Any) -> None:
         """Zero-delay internal continuation (the dominant event kind)."""
         self._schedule_internal(0.0, fn, *args)
+
+    def _recycle(self, event: Event) -> None:
+        if event._recyclable and len(self._pool) < POOL_CAP:
+            event.fn = None
+            event.args = ()
+            self._pool.append(event)
 
     def schedule_at(self, time: float, fn: Callable[..., Any],
                     *args: Any, priority: int = 0) -> Event:
@@ -352,6 +416,8 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before now ({self.now})")
+        # a NaN or infinite time yields a non-finite delay: schedule()
+        # rejects it
         return self.schedule(time - self.now, fn, *args, priority=priority)
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
@@ -370,44 +436,21 @@ class Simulator:
             max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` passes, or
         ``max_events`` callbacks have executed."""
-        pop = self._scheduler.pop_due
-        pool = self._pool
-        pool_cap = self._pool_size
+        pop = self._pop
+        recycle = self._recycle
         # the executed-event count is accumulated locally and folded
-        # into the counters on exit (nothing reads them mid-run: the
-        # only readers are workloads/tests between run() calls)
+        # into the counter on exit (a callback that raises still counts)
         ran = 0
         try:
-            if max_events is None:
-                # the common case gets a tight loop: no event budget to
-                # track, one bound-method call per event
-                while True:
-                    event = pop(until)
-                    if event is None:
-                        break
-                    ran += 1
-                    self.now = event.time
-                    event.fn(*event.args)
-                    if (event._recyclable and event._popped
-                            and len(pool) < pool_cap):
-                        event.fn = None
-                        event.args = ()
-                        pool.append(event)
-            else:
-                while ran < max_events:
-                    event = pop(until)
-                    if event is None:
-                        break
-                    ran += 1
-                    self.now = event.time
-                    event.fn(*event.args)
-                    if (event._recyclable and event._popped
-                            and len(pool) < pool_cap):
-                        event.fn = None
-                        event.args = ()
-                        pool.append(event)
+            while max_events is None or ran < max_events:
+                event = pop(until)
+                if event is None:
+                    break
+                ran += 1
+                self.now = event.time
+                event.fn(*event.args)
+                recycle(event)
         finally:
-            self._live -= ran
             self._events_run += ran
         if until is not None and self.now < until:
             self.now = until
@@ -416,7 +459,7 @@ class Simulator:
         """Drive the event queue until ``proc`` finishes; return its value.
 
         This is the synchronous facade over process-style procedures:
-        it pops events off the *shared* scheduler, so it is reentrant --
+        it pops events off the *shared* queue, so it is reentrant --
         an event callback may call it, and the whole world (other
         procedures, data-plane traffic, timers) keeps advancing while
         the caller blocks.  Raises the process's own exception if it
@@ -434,18 +477,14 @@ class Simulator:
 
     def step(self) -> bool:
         """Run exactly one pending event.  Returns False if none remain."""
-        event = self._scheduler.pop_due(None)
+        event = self._pop(None)
         if event is None:
             return False
-        self._live -= 1
+        # counted before the call, as in run(): a raising callback ran
+        self._events_run += 1
         self.now = event.time
         event.fn(*event.args)
-        self._events_run += 1
-        if (event._recyclable and event._popped
-                and len(self._pool) < self._pool_size):
-            event.fn = None
-            event.args = ()
-            self._pool.append(event)
+        self._recycle(event)
         return True
 
     def next_event_time(self) -> Optional[float]:
@@ -453,13 +492,12 @@ class Simulator:
 
         ``None`` means the queue is drained (no live events).  Otherwise
         the returned time is ``>= now`` and ``<=`` the true next event
-        time: schedulers report the earliest lane head / wheel-bucket
-        bound they track without opening buckets or skipping cancelled
-        events, so the bound may be early but never late.  Real-time
-        pacers (:mod:`repro.ops.pacer`) use it to sleep through idle
-        stretches instead of polling empty quanta; running the
-        simulator ``until`` the bound and asking again converges on the
-        true next event.
+        time: it is the earlier of the two queue heads, which may be a
+        cancelled tombstone, so the bound may be early but never late.
+        Real-time pacers (:mod:`repro.ops.pacer`) use it to sleep
+        through idle stretches instead of polling empty quanta; running
+        the simulator ``until`` the bound and asking again converges on
+        the true next event.
 
         The bound describes the queue *as it stands now*: any callback
         that arms events afterwards -- including control code calling
@@ -470,7 +508,9 @@ class Simulator:
         """
         if self._live <= 0:
             return None
-        bound = self._scheduler.next_time_lower_bound()
+        bound = self._heap[0][0] if self._heap else _INF
+        if self._now_lane and self._now_lane[0].time < bound:
+            bound = self._now_lane[0].time
         return self.now if bound < self.now else bound
 
     @property
@@ -487,35 +527,26 @@ class Simulator:
         """Total callbacks executed so far."""
         return self._events_run
 
-    @property
-    def scheduler_name(self) -> str:
-        """Which scheduler implementation this simulator runs on."""
-        return self._scheduler.name
-
     def profile(self) -> dict:
-        """Execution counters: events by lane, pool hit rate, peaks.
+        """Execution counters: events run, queue peaks, tombstones, pool.
 
-        The shape is scheduler-dependent (the fast scheduler reports
-        wheel statistics, the reference one only its heap) but always
-        includes ``scheduler``, ``events_run``, ``pending`` and
-        ``pool``.  Counters are diagnostics only -- nothing in the
-        simulation may read them back into behaviour.
+        Counters are diagnostics only -- nothing in the simulation may
+        read them back into behaviour.
         """
         requests = self._pool_hits + self._pool_misses
-        data = {
-            "scheduler": self._scheduler.name,
+        return {
             "events_run": self._events_run,
             "pending": self._live,
+            "heap_peak": self._heap_peak,
+            "cancelled_discarded": self._discarded,
+            "compactions": self._compactions,
             "pool": {
                 "hits": self._pool_hits,
                 "misses": self._pool_misses,
                 "hit_rate": self._pool_hits / requests if requests else 0.0,
                 "free": len(self._pool),
-                "capacity": self._pool_size,
             },
         }
-        data.update(self._scheduler.profile())
-        return data
 
     def drain(self, events: Iterable[Event]) -> None:
         """Cancel a collection of events."""

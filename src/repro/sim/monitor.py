@@ -25,7 +25,7 @@ class _BusProbe:
 
     Probes can also self-sample on a period: :meth:`start_polling` arms
     a repeating timer (the timer event is re-armed in place each poll,
-    so it rides the scheduler's timer wheel without allocating) and
+    so it re-arms without allocating) and
     appends one :meth:`snapshot` dict to :attr:`polls` per interval.
     """
 

@@ -264,9 +264,9 @@ def _shard_worker(conn, index: int, spec: ShardSpec,
                 conn.send(("ok",) + _advance(app, port, window, inbox))
             elif message[0] == "finish":
                 # park the clock exactly at the horizon: the last
-                # window's end depends on scheduler lower bounds, the
-                # horizon does not, so collected clocks stay
-                # scheduler-invariant
+                # window's end depends on next_event_time() lower
+                # bounds, the horizon does not, so collected clocks do
+                # not depend on the window schedule
                 app.sim.run(until=message[1])
                 conn.send(("result", app.collect()))
                 return

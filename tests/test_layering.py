@@ -123,13 +123,12 @@ def test_sim_is_fully_self_contained():
                     f"{path.name} imports {imported}"
 
 
-#: Scheduler/engine internals: the now lane, timer-wheel slots, the
-#: fallback heap and the event pool are private to ``repro.sim``.
-#: Everything else must go through ``Simulator.schedule()`` /
-#: ``SimConfig.build_simulator()`` / ``Simulator.profile()``.
-SCHEDULER_INTERNALS = {"_heap", "_now_lane", "_runlist", "_wheel",
-                       "_wheel_heap", "_coarse", "_coarse_heap",
-                       "_scheduler", "_schedule_internal"}
+#: Event-queue internals: the tuple heap, the now lane, the
+#: unvalidated internal arm path and the event pool are private to
+#: ``repro.sim``.  Everything else must go through
+#: ``Simulator.schedule()`` / ``SimConfig.build_simulator()`` /
+#: ``Simulator.profile()``.
+SCHEDULER_INTERNALS = {"_heap", "_now_lane", "_schedule_internal", "_pool"}
 
 
 #: Fluid data-plane internals: entry tables, per-direction queue maps

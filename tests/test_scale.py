@@ -43,7 +43,7 @@ def test_twenty_ues_ping_concurrently():
 
 def test_five_hundred_ue_attach_storm_completes_quickly():
     """500 concurrent attaches finish with unique resources, and the
-    fast scheduler keeps the whole storm well inside a generous
+    event queue keeps the whole storm well inside a generous
     wall-clock budget (measures ~1 s on the CI baseline; the 30 s
     ceiling only catches pathological regressions)."""
     import time

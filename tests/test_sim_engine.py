@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import operator
+
 import pytest
 
 from repro.sim.engine import Process, SimulationError, Simulator
@@ -224,12 +226,11 @@ def test_pending_tracks_cancel_after_run():
     assert sim.pending == 0
 
 
-@pytest.mark.parametrize("scheduler", ["fast", "reference"])
-def test_pending_matches_external_count_randomized(scheduler):
+def test_pending_matches_external_count_randomized(event_recycling):
     import random
 
     rnd = random.Random(1234)
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     ran = set()
     events = []
     expected = 0
@@ -251,4 +252,42 @@ def test_pending_matches_external_count_randomized(scheduler):
             expected -= len(ran) - before
         assert sim.pending == expected
     sim.run()
+    assert sim.pending == 0
+
+
+def _ran_event(sim):
+    event = sim.schedule(0.5, lambda: None)
+    sim.run()
+    return event
+
+
+ARMS = {
+    "schedule": lambda sim, t: sim.schedule(t, lambda: None),
+    "schedule_at": lambda sim, t: sim.schedule_at(t, lambda: None),
+    "reschedule": lambda sim, t: _ran_event(sim).reschedule(t),
+    "process_yield": lambda sim, t: sim.run_until_complete(
+        sim.spawn(x for x in [t])),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")], ids=str)
+@pytest.mark.parametrize("entry", sorted(ARMS))
+def test_non_finite_times_rejected(entry, value):
+    """NaN would silently break the heap order and inf would park an
+    event forever, so every way of arming an event refuses both."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        ARMS[entry](sim, value)
+    assert sim.pending == 0
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_raising_event_is_counted(drive):
+    """``step()`` counts a callback that raises, exactly as ``run()``."""
+    sim = Simulator()
+    sim.schedule(1.0, operator.truediv, 1, 0)
+    with pytest.raises(ZeroDivisionError):
+        getattr(sim, drive)()
+    assert sim.events_run == 1
     assert sim.pending == 0

@@ -1,8 +1,8 @@
 """Sharded execution: determinism, deadlock freedom, runner wiring.
 
 The load-bearing property is byte-identity: a sharded run must produce
-exactly the result of the single-process run, on every preset, under
-either scheduler.  The differential tests here drive the same worlds
+exactly the result of the single-process run, on every preset.  The
+differential tests here drive the same worlds
 through both backends and compare canonical digests (plus the
 execution-order cross-delivery traces embedded in them).
 """
@@ -141,8 +141,7 @@ def test_no_conduits_means_one_window():
 
 
 # ---------------------------------------------------------------------------
-# randomized differential: the fabric workload, off vs site, both
-# schedulers
+# randomized differential: the fabric workload, off vs site
 # ---------------------------------------------------------------------------
 
 def _fabric_trial(sharding, seed, n_sites=3):
@@ -153,12 +152,10 @@ def _fabric_trial(sharding, seed, n_sites=3):
                              ("wan_delay", 0.05), ("sync_interval", 0.4)))
 
 
-@pytest.mark.parametrize("scheduler", ["fast", "reference"])
-def test_shard_fabric_differential_randomized(scheduler, monkeypatch):
+def test_shard_fabric_differential_randomized(event_recycling):
     """Same 3-site workload, sharding=off vs site, random seeds: the
     execution-order cross-delivery traces and full result digests must
-    match exactly, under either scheduler."""
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", scheduler)
+    match exactly."""
     fn = get_workload("shard_fabric")
     for seed in random.Random(20260808).sample(range(10_000), 2):
         off = fn(_fabric_trial("off", seed))
@@ -169,15 +166,6 @@ def test_shard_fabric_differential_randomized(scheduler, monkeypatch):
         assert canonical_digest(off) == canonical_digest(site)
         assert off["sites"]["edge0"]["sync_received"] > 0
         assert off["sites"]["edge0"]["pings_answered"] > 0
-
-
-def test_shard_fabric_scheduler_invariant(monkeypatch):
-    digests = {}
-    fn = get_workload("shard_fabric")
-    for scheduler in ("fast", "reference"):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", scheduler)
-        digests[scheduler] = canonical_digest(fn(_fabric_trial("off", 11)))
-    assert digests["fast"] == digests["reference"]
 
 
 def test_shard_fabric_result_carries_no_backend_marker():

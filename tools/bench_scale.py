@@ -25,8 +25,8 @@ Two gated measurements, reported to ``BENCH_scale.json``:
   and the whole scenario fits ``WALL_BUDGET_S`` of wall clock.
 
 Protocol: the sweep alternates timed passes over the two planes with
-the cyclic garbage collector disabled (pyperf-style, as in
-``tools/bench_sim.py``); reported times are medians.  ``--smoke``
+the cyclic garbage collector disabled (pyperf-style); reported times
+are medians.  ``--smoke``
 shrinks the ping-train shape (not the 100k population -- the headline
 gate is the point) for CI.
 

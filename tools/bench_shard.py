@@ -14,7 +14,7 @@ Two claims are checked, in this order of importance:
 
 2. **Speedup** -- per-site shard processes beat the single process on
    a multi-core host.  The fleet alternates timed off/site passes
-   (gc disabled, median statistic, the ``bench_sim.py`` protocol) and
+   (gc disabled, median statistic, pyperf-style) and
    the full-mode gate requires ``SPEEDUP_GATE`` on the 4-site
    continuity-style fleet.  A conservative-window federation cannot
    run faster than its slowest shard, so the gate is only *enforced*
