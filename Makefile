@@ -2,13 +2,17 @@
 
 PYTHON ?= python
 
-.PHONY: test lint bench bench-matcher bench-resilience bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke bench-shard bench-shard-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
+.PHONY: test lint perfbench-selftest bench bench-matcher bench-resilience bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke bench-shard bench-shard-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
 
 test:
 	$(PYTHON) -m pytest tests/ -q
 
 lint:   ## same gate as CI (needs ruff on PATH: pip install ruff)
 	ruff check src/ tests/ benchmarks/ tools/ examples/
+
+perfbench-selftest:   ## benchmark self-tests, and every figure benchmark collects
+	$(PYTHON) -m pytest perfbench -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks --collect-only -q
 
 exp-smoke:   ## tiny 2-seed experiment spec end-to-end through the parallel runner
 	PYTHONPATH=src $(PYTHON) -m repro exp run smoke --workers 2

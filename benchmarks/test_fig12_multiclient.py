@@ -9,8 +9,8 @@ with load.
 import numpy as np
 import pytest
 
-from benchmarks.test_fig11a_search_space import (SCHEMES, build_context,
-                                                 search_space_for)
+from benchmarks.test_fig11a_search_space import SCHEMES
+from repro.exp.workloads import build_context, search_space_for
 from repro.vision.camera import R960x720
 from repro.vision.costmodel import DEVICES
 
@@ -32,7 +32,7 @@ def mean_time(device, db, localization, optimizer, samples, scheme,
 
 
 def test_fig12_multiclient(scenario, db, report, benchmark):
-    localization, optimizer, samples = build_context(scenario, db)
+    localization, optimizer, samples = build_context(scenario, db, seed=31)
     results = {}
     for machine in MACHINES:
         device = DEVICES[machine]

@@ -603,6 +603,52 @@ def run_shard_fabric(trial: TrialSpec) -> dict[str, Any]:
 # search_space: matching time/accuracy per scheme (Figure 11(a))
 # ---------------------------------------------------------------------------
 
+def build_context(scenario, db, seed: int) -> tuple:
+    """Localisation state per checkpoint of ``scenario``.
+
+    The user stands at each checkpoint through three discovery periods,
+    so the tracker's EWMA smooths the shadowing noise.  Returns
+    ``(localization, optimizer, samples)`` with one checkpoint sample
+    each, in checkpoint order.
+    """
+    from repro.apps.retail import landmark_map_for
+    from repro.apps.workload import CheckpointWorkload
+    from repro.core.localization_manager import LocalizationManager
+    from repro.core.optimizer import SearchSpaceOptimizer
+    from repro.d2d.radio import RadioModel
+    from repro.localization.pathloss import calibrate_from_radio
+
+    radio = RadioModel()
+    rng = np.random.default_rng(seed)
+    regression = calibrate_from_radio(radio, rng)
+    localization = LocalizationManager(landmark_map_for(scenario,
+                                                        regression))
+    workload_ = CheckpointWorkload(scenario, db, radio=radio, seed=seed)
+    samples = []
+    for cp in scenario.checkpoints:
+        sample = workload_.sample(cp)
+        for round_index in range(3):
+            observations = workload_.landmark_observations(cp.position)
+            for landmark, rx_power in observations.items():
+                localization.report(cp.name, landmark, rx_power,
+                                    float(round_index))
+        samples.append(sample)
+    return localization, SearchSpaceOptimizer(db, scenario), samples
+
+
+def search_space_for(scheme: str, localization, optimizer, cp_name: str):
+    """The search space one scheme (``naive`` | ``rxpower`` |
+    ``acacia``) matches a frame from checkpoint ``cp_name`` against."""
+    if scheme == "naive":
+        return optimizer.naive()
+    if scheme == "rxpower":
+        return optimizer.rxpower(
+            localization.strongest_landmarks(cp_name, now=1.0))
+    location = localization.location(cp_name, now=1.0)
+    return optimizer.acacia(
+        location, localization.strongest_landmarks(cp_name, now=1.0))
+
+
 @workload("search_space")
 def run_search_space(trial: TrialSpec) -> dict[str, Any]:
     """Mean matching time per (resolution, scheme) on one machine.
@@ -610,13 +656,8 @@ def run_search_space(trial: TrialSpec) -> dict[str, Any]:
     Parameters: ``machine`` (a :data:`repro.vision.costmodel.DEVICES`
     key), optional ``frames_per_checkpoint`` and ``n_features``.
     """
-    from repro.apps.retail import build_retail_database, landmark_map_for
+    from repro.apps.retail import build_retail_database
     from repro.apps.scenario import store_scenario
-    from repro.apps.workload import CheckpointWorkload
-    from repro.core.localization_manager import LocalizationManager
-    from repro.core.optimizer import SearchSpaceOptimizer
-    from repro.d2d.radio import RadioModel
-    from repro.localization.pathloss import calibrate_from_radio
     from repro.vision.camera import R720x480, R960x720, R1280x720
     from repro.vision.costmodel import DEVICES
 
@@ -629,33 +670,8 @@ def run_search_space(trial: TrialSpec) -> dict[str, Any]:
 
     scenario = store_scenario()
     db = build_retail_database(scenario, n_features=n_features)
-    radio = RadioModel()
-    rng = np.random.default_rng(trial.seed)
-    regression = calibrate_from_radio(radio, rng)
-    localization = LocalizationManager(landmark_map_for(scenario,
-                                                        regression))
-    workload_ = CheckpointWorkload(scenario, db, radio=radio,
-                                   seed=trial.seed)
-    samples = []
-    for cp in scenario.checkpoints:
-        sample = workload_.sample(cp)
-        for round_index in range(3):
-            observations = workload_.landmark_observations(cp.position)
-            for landmark, rx_power in observations.items():
-                localization.report(cp.name, landmark, rx_power,
-                                    float(round_index))
-        samples.append(sample)
-    optimizer = SearchSpaceOptimizer(db, scenario)
-
-    def space_for(scheme, cp_name):
-        if scheme == "naive":
-            return optimizer.naive()
-        if scheme == "rxpower":
-            return optimizer.rxpower(
-                localization.strongest_landmarks(cp_name, now=1.0))
-        location = localization.location(cp_name, now=1.0)
-        return optimizer.acacia(
-            location, localization.strongest_landmarks(cp_name, now=1.0))
+    localization, optimizer, samples = build_context(scenario, db,
+                                                     seed=trial.seed)
 
     device = DEVICES[machine]
     mean_ms: dict[str, float] = {}
@@ -663,7 +679,8 @@ def run_search_space(trial: TrialSpec) -> dict[str, Any]:
         for scheme in schemes:
             times = []
             for sample in samples:
-                space = space_for(scheme, sample.checkpoint.name)
+                space = search_space_for(scheme, localization, optimizer,
+                                         sample.checkpoint.name)
                 t = device.db_match_time(
                     resolution, db_objects=space.size,
                     object_features=db.mean_nominal_features(
@@ -675,7 +692,8 @@ def run_search_space(trial: TrialSpec) -> dict[str, Any]:
     misses: dict[str, list[str]] = {scheme: [] for scheme in schemes}
     for sample in samples:
         for scheme in schemes:
-            space = space_for(scheme, sample.checkpoint.name)
+            space = search_space_for(scheme, localization, optimizer,
+                                     sample.checkpoint.name)
             names = {record.name for record in space.records}
             if sample.record.name not in names:
                 misses[scheme].append(sample.checkpoint.name)

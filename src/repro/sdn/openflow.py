@@ -28,7 +28,13 @@ class FlowMatch:
     dst_port: Optional[int] = None
 
     def matches(self, packet: Packet) -> bool:
-        if self.teid is not None and gtp_teid(packet) != self.teid:
+        return self.matches_teid(packet, gtp_teid(packet))
+
+    def matches_teid(self, packet: Packet, teid: Optional[int]) -> bool:
+        """:meth:`matches` given the packet's outer TEID (``None`` for a
+        bare packet), so a classifier trying several rules reads the
+        headers once."""
+        if self.teid is not None and teid != self.teid:
             return False
         if self.src_ip is not None and packet.src != self.src_ip:
             return False

@@ -7,6 +7,15 @@ installs a cache entry; later packets hit the cache at the fast-path
 cost.  The CPU is a serial resource: costs accumulate on a busy-until
 clock, which is what caps a user-space gateway's throughput in Figure 8.
 
+The table is hash-indexed.  Each rule sits in one bucket keyed by its
+most selective exact field -- outer TEID, else inner destination IP,
+else inner source IP -- or in a wildcard list, and every bucket is kept
+in table order ``(-priority, install sequence)``.  A lookup reads the
+packet's TEID once, probes at most three buckets plus the wildcard
+list, and returns the matching rule that sorts first: exactly the rule
+a linear scan of ``table`` would find.  The simulated slow-path cost is
+unchanged; only the host time of a lookup stops growing with the table.
+
 Packets with no matching rule are counted as table misses, announced as
 a :class:`~repro.sdn.events.TableMiss` on the hook bus (the paging
 manager's punt path) and dropped.
@@ -14,12 +23,13 @@ manager's punt path) and dropped.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from bisect import bisect_left, insort
+from typing import TYPE_CHECKING, Hashable, Optional
 
 from repro.epc.gtp import gtp_teid
 from repro.sdn.dataplane import IDEAL_PROFILE, DataPlaneProfile
 from repro.sdn.events import FlowRuleInstalled, FlowRuleRemoved, TableMiss
-from repro.sdn.openflow import FlowRule, Output
+from repro.sdn.openflow import FlowMatch, FlowRule, Output
 from repro.sim.node import Node
 from repro.sim.packet import Packet
 
@@ -27,10 +37,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.link import Link
 
+#: A table entry: ``(-priority, install sequence, rule)``.  The sequence
+#: is unique within a switch, so entries sort in table order and a
+#: comparison never reaches the rule.
+_Entry = tuple[int, int, FlowRule]
+
+_WILDCARD = ("any",)
+
 
 def _cache_key(packet: Packet) -> tuple:
     """Exact-match key: outer TEID (if tunnelled) + inner five-tuple."""
     return (gtp_teid(packet),) + packet.five_tuple
+
+
+def _bucket_key(match: FlowMatch) -> Hashable:
+    """The bucket of a rule: its most selective exact field."""
+    if match.teid is not None:
+        return ("teid", match.teid)
+    if match.dst_ip is not None:
+        return ("dst", match.dst_ip)
+    if match.src_ip is not None:
+        return ("src", match.src_ip)
+    return _WILDCARD
 
 
 class FlowSwitch(Node):
@@ -42,6 +70,10 @@ class FlowSwitch(Node):
         super().__init__(sim, name, ip)
         self.profile = profile
         self.table: list[FlowRule] = []
+        self._ranks: list[tuple[int, int]] = []     # parallel to table
+        self._buckets: dict[Hashable, list[_Entry]] = {}
+        self._by_cookie: dict[str, dict[tuple[int, FlowMatch], _Entry]] = {}
+        self._seq = 0
         self._cache: dict[tuple, FlowRule] = {}
         self._cpu_free_at = 0.0
         self._fluid_cpu = None
@@ -61,15 +93,19 @@ class FlowSwitch(Node):
 
     def install(self, rule: FlowRule) -> None:
         """Add a rule; idempotent for an identical (cookie, priority,
-        match) triple -- re-installing replaces the previous rule in
-        place instead of duplicating it, so a retried FlowMod (or a
-        re-steer replayed over a lossy channel) leaves exactly one
-        rule in the table."""
-        key = (rule.cookie, rule.priority, rule.match.describe())
-        self.table = [r for r in self.table
-                      if (r.cookie, r.priority, r.match.describe()) != key]
-        self.table.append(rule)
-        self.table.sort(key=lambda r: -r.priority)
+        match) triple -- re-installing replaces the previous rule
+        instead of duplicating it, so a retried FlowMod (or a re-steer
+        replayed over a lossy channel) leaves exactly one rule in the
+        table.  A (re-)installed rule goes last among its priority."""
+        key = (rule.priority, rule.match)
+        rules = self._by_cookie.setdefault(rule.cookie, {})
+        previous = rules.pop(key, None)
+        if previous is not None:
+            self._unindex(previous)
+        self._seq += 1
+        entry = (-rule.priority, self._seq, rule)
+        rules[key] = entry
+        self._index(entry)
         self._cache.clear()     # conservatively invalidate the fast path
         hooks = self.sim.hooks
         if hooks.has(FlowRuleInstalled):
@@ -77,29 +113,66 @@ class FlowSwitch(Node):
 
     def rules_for_cookie(self, cookie: str) -> list[FlowRule]:
         """The installed rules carrying a cookie (table order)."""
-        return [r for r in self.table if r.cookie == cookie]
+        return [entry[2] for entry
+                in sorted(self._by_cookie.get(cookie, {}).values())]
 
     def remove(self, cookie: str) -> list[FlowRule]:
-        removed = [r for r in self.table if r.cookie == cookie]
-        self.table = [r for r in self.table if r.cookie != cookie]
+        entries = sorted(self._by_cookie.pop(cookie, {}).values())
+        for entry in entries:
+            self._unindex(entry)
         self._cache.clear()
         hooks = self.sim.hooks
         if hooks.has(FlowRuleRemoved):
             hooks.emit(FlowRuleRemoved(switch=self, cookie=cookie,
-                                       count=len(removed)))
-        return removed
+                                       count=len(entries)))
+        return [entry[2] for entry in entries]
+
+    def _index(self, entry: _Entry) -> None:
+        rank = entry[:2]
+        position = bisect_left(self._ranks, rank)
+        self._ranks.insert(position, rank)
+        self.table.insert(position, entry[2])
+        insort(self._buckets.setdefault(_bucket_key(entry[2].match), []),
+               entry)
+
+    def _unindex(self, entry: _Entry) -> None:
+        rank = entry[:2]
+        position = bisect_left(self._ranks, rank)
+        del self._ranks[position]
+        del self.table[position]
+        key = _bucket_key(entry[2].match)
+        bucket = self._buckets[key]
+        del bucket[bisect_left(bucket, rank)]
+        if not bucket:
+            del self._buckets[key]
 
     def lookup(self, packet: Packet) -> Optional[FlowRule]:
-        for rule in self.table:
-            if rule.match.matches(packet):
-                return rule
-        return None
+        """The highest-priority matching rule (earliest installed among
+        equals), or ``None``: the first match of a scan of ``table``."""
+        teid = gtp_teid(packet)
+        buckets = self._buckets
+        best = None
+        for key in (("teid", teid), ("dst", packet.dst),
+                    ("src", packet.src), _WILDCARD):
+            bucket = buckets.get(key)
+            if bucket is None:
+                continue
+            for entry in bucket:
+                if best is not None and entry > best:
+                    break
+                if entry[2].match.matches_teid(packet, teid):
+                    best = entry
+                    break
+        return None if best is None else best[2]
 
     # -- data path --------------------------------------------------------
 
     def on_receive(self, packet: Packet, link: "Link") -> None:
-        key = _cache_key(packet)
-        rule = self._cache.get(key)
+        # only a fast-path profile fills the cache, so only it reads it
+        key = rule = None
+        if self.profile.has_fast_path:
+            key = _cache_key(packet)
+            rule = self._cache.get(key)
         cached = rule is not None
         if rule is None:
             rule = self.lookup(packet)
@@ -109,7 +182,7 @@ class FlowSwitch(Node):
                 if hooks.has(TableMiss):
                     hooks.emit(TableMiss(switch=self, packet=packet))
                 return
-            if self.profile.has_fast_path:
+            if key is not None:
                 self._cache[key] = rule
         if cached:
             self.fast_path_hits += 1
