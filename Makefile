@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint perfbench-selftest bench bench-matcher bench-resilience bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke bench-shard bench-shard-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
+.PHONY: test lint perfbench-selftest bench bench-matcher bench-resilience bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -44,12 +44,6 @@ bench-continuity:   ## relocation policies across the edge fabric -> BENCH_conti
 
 bench-continuity-smoke:   ## quick continuity + determinism gates, no committed output
 	PYTHONPATH=src $(PYTHON) tools/bench_continuity.py --smoke --out /tmp/BENCH_continuity_smoke.json
-
-bench-shard:   ## sharded vs single-process: identity on all presets + 4-site speedup -> BENCH_shard.json
-	PYTHONPATH=src $(PYTHON) tools/bench_shard.py
-
-bench-shard-smoke:   ## 2-site digest identity + speedup floor, no committed output
-	PYTHONPATH=src $(PYTHON) tools/bench_shard.py --smoke --out /tmp/BENCH_shard_smoke.json
 
 quick:   ## tests + the sub-second benchmarks only
 	$(PYTHON) -m pytest tests/ -q

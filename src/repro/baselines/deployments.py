@@ -304,127 +304,6 @@ def build_topology(topology, *, seed: int = 0,
                       server_of_site=server_of_site)
 
 
-class ShardSiteApp:
-    """One edge site of a sharded fabric, as a self-contained shard.
-
-    The per-shard unit :mod:`repro.sim.shard` partitions a multi-site
-    deployment into: a complete single-site MEC world (own
-    :class:`~repro.core.network.MobileNetwork`, eNodeB, gateways, CI
-    echo server and UE population) whose *only* coupling to the other
-    sites is the inter-site WAN -- modelled by the shard conduits, so
-    the WAN propagation delay is exactly the conservative lookahead.
-
-    The class itself is the shard builder
-    (``ShardSpec(name, ShardSiteApp, kwargs)``): constructing it only
-    *arms* events -- the attach storm, the traffic start and the
-    context-sync ticker -- and never runs the simulator; time advances
-    exclusively inside the coordinator's windows, identically in every
-    backend.
-
-    Cross-site traffic is a periodic context-sync exchange: every
-    ``sync_interval`` each site sends a small summary envelope to every
-    peer, and a received summary triggers one extra CI ping from a
-    local UE -- so remote events genuinely perturb local packet
-    timelines and a mis-merged envelope order would change the digests
-    the differential tests compare.
-
-    Constructor keyword arguments (all JSON-able, so specs cross
-    process boundaries): ``seed``, ``n_ues``, ``warmup`` (attach-storm
-    settling time before traffic starts), ``duration`` (traffic
-    window), ``ping_interval``/``ping_size``, ``sync_interval``/
-    ``sync_bytes``, ``data_plane`` and ``bg_mbps`` (background load,
-    per-packet or fluid by data plane).
-    """
-
-    def __init__(self, port, *, seed: int = 0, n_ues: int = 4,
-                 warmup: float = 1.0, duration: float = 8.0,
-                 ping_interval: float = 0.1, ping_size: int = 256,
-                 sync_interval: float = 0.5, sync_bytes: int = 2000,
-                 data_plane: str = "packet", bg_mbps: float = 0.0) -> None:
-        from repro.core.network import MobileNetwork, Pinger
-        from repro.sim.context import derive_seed
-
-        self.port = port
-        self.warmup = warmup
-        self.duration = duration
-        self.ping_interval = ping_interval
-        self.ping_size = ping_size
-        self.sync_interval = sync_interval
-        self.sync_bytes = sync_bytes
-        self._pinger_cls = Pinger
-        self.network = MobileNetwork(NetworkConfig(
-            seed=derive_seed("shard-site", port.name, seed),
-            sim=SimConfig(data_plane=data_plane)))
-        self.sim = self.network.sim
-        self.network.add_mec_site("mec")
-        self.network.add_server("ci", site_name="mec", echo=True)
-        if bg_mbps > 0:
-            self.network.add_background_load(rate=bg_mbps * 1e6).start()
-        self._attach_procs = [self.network.add_ue_async()
-                              for _ in range(n_ues)]
-        self.ues: list = []
-        self.pingers: list = []
-        self.sync_sent = 0
-        self.sync_received = 0
-        self.sync_bytes_received = 0
-        #: bounded cross-shard delivery trace, part of the compared
-        #: result: [sim time, sender site, tick number]
-        self.sync_trace: list[list] = []
-        self.sim.schedule(warmup, self._start_traffic)
-        self.sim.schedule(warmup, self._sync_tick, 0, priority=1)
-
-    def _start_traffic(self) -> None:
-        self.ues = [proc.value for proc in self._attach_procs
-                    if proc.finished and proc.error is None
-                    and proc.value.attached]
-        count = max(1, int(round(self.duration / self.ping_interval)))
-        for ue in self.ues:
-            pinger = self._pinger_cls(self.network, ue, "ci",
-                                      size=self.ping_size,
-                                      interval=self.ping_interval)
-            pinger.run(count=count, start=self.sim.now)
-            self.pingers.append(pinger)
-
-    def _sync_tick(self, k: int) -> None:
-        if self.sim.now >= self.warmup + self.duration:
-            return
-        for peer in self.port.peers:
-            self.port.send(peer, {"k": k, "bytes": self.sync_bytes})
-            self.sync_sent += 1
-        self.sim.schedule(self.sync_interval, self._sync_tick, k + 1,
-                          priority=1)
-
-    def deliver(self, src: str, payload: dict) -> None:
-        """A peer site's context-sync summary arrived over the WAN."""
-        self.sync_received += 1
-        self.sync_bytes_received += payload["bytes"]
-        if len(self.sync_trace) < 256:
-            self.sync_trace.append([round(self.sim.now, 9), src,
-                                    payload["k"]])
-        # couple remote progress into the local packet timeline: one
-        # extra CI ping, from a UE chosen by the sender's tick
-        if self.pingers:
-            self.pingers[payload["k"] % len(self.pingers)].run(count=1)
-
-    def collect(self) -> dict:
-        for pinger in self.pingers:
-            pinger.close()
-        rtts = sorted(r for p in self.pingers for r in p.rtts)
-        return {
-            "attached": len(self.ues),
-            "pings_answered": len(rtts),
-            "pings_lost": sum(p.lost for p in self.pingers),
-            "rtt_sum_ms": round(sum(rtts) * 1e3, 6),
-            "rtt_max_ms": round(rtts[-1] * 1e3, 6) if rtts else None,
-            "sync_sent": self.sync_sent,
-            "sync_received": self.sync_received,
-            "sync_bytes_received": self.sync_bytes_received,
-            "sync_trace": self.sync_trace,
-            "events_run": self.sim.events_run,
-            "now": round(self.sim.now, 9),
-        }
-
-
 def build_edge_fabric(n_sites: int = 3, enbs_per_site: int = 2,
                       seed: int = 0,
                       continuity=None,

@@ -338,9 +338,6 @@ class ContinuityConfig(ConfigMapping):
 #: Available data-plane models (see :mod:`repro.sim.fluid`).
 DATA_PLANES = ("packet", "fluid-bg")
 
-#: Available sharding modes (see :mod:`repro.sim.shard`).
-SHARDING_MODES = ("off", "site")
-
 
 @dataclass
 class SimConfig(ConfigMapping):
@@ -355,25 +352,14 @@ class SimConfig(ConfigMapping):
     fluid rates (:mod:`repro.sim.fluid`) while foreground CI/AR and
     signalling traffic stays per-packet.  ``"packet"`` mode is
     byte-identical to a build without the fluid subsystem.
-
-    ``sharding`` selects the execution layout: ``"off"`` (the default)
-    runs everything in one process; ``"site"`` partitions a multi-site
-    deployment into per-edge-site shard processes synchronized by
-    conservative WAN-lookahead windows (:mod:`repro.sim.shard`).
-    Sharded runs are byte-identical to single-process runs -- the
-    setting changes wall-clock only, never results.
     """
 
     data_plane: str = "packet"
-    sharding: str = "off"
 
     def __post_init__(self) -> None:
         if self.data_plane not in DATA_PLANES:
             raise ValueError(f"unknown data plane {self.data_plane!r}; "
                              f"expected one of {DATA_PLANES}")
-        if self.sharding not in SHARDING_MODES:
-            raise ValueError(f"unknown sharding mode {self.sharding!r}; "
-                             f"expected one of {SHARDING_MODES}")
 
     def build_simulator(self):
         """Construct a :class:`~repro.sim.engine.Simulator`.

@@ -520,86 +520,6 @@ def run_continuity(trial: TrialSpec) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# shard_fabric: multi-site fabric under sharded execution
-# ---------------------------------------------------------------------------
-
-@workload("shard_fabric")
-def run_shard_fabric(trial: TrialSpec) -> dict[str, Any]:
-    """An ``n_sites`` fabric of per-site shards coupled over the WAN.
-
-    One :class:`~repro.baselines.deployments.ShardSiteApp` per edge
-    site -- a full single-site MEC world with its own attach storm, CI
-    ping trains and periodic context-sync traffic to every peer over
-    the full-mesh WAN conduits -- federated by
-    :class:`~repro.sim.shard.ShardedSimulator`.
-
-    ``sharding`` selects the execution layout only: ``"off"`` runs the
-    federation inline in this process, ``"site"`` gives every site its
-    own OS process.  The result dict is byte-identical either way
-    (asserted by the differential tests and ``tools/bench_shard.py``),
-    which is why it deliberately carries no backend marker -- only
-    invariant quantities.  The window-round count is *not* one (the
-    window schedule follows ``next_event_time()`` lower bounds, so it
-    may change with the event queue); it lives in
-    :meth:`~repro.sim.shard.ShardedSimulator.stats` for the bench
-    driver, not here.
-
-    Parameters (``trial.params``): ``sharding``, ``n_sites``,
-    ``n_ues`` (per site), ``wan_delay`` (the conduit delay and
-    therefore the conservative lookahead), ``warmup`` / ``duration`` /
-    ``tail`` (horizon shape), ``ping_interval`` / ``ping_size``,
-    ``sync_interval`` / ``sync_bytes``, ``data_plane`` and ``bg_mbps``
-    (per site; ``fluid-bg`` + load gives the fluid sharded profile).
-    """
-    from repro.baselines.deployments import ShardSiteApp
-    from repro.core.config import SHARDING_MODES
-    from repro.sim.shard import Conduit, ShardSpec, ShardedSimulator
-
-    p = trial.param_dict
-    sharding = p.get("sharding", "off")
-    if sharding not in SHARDING_MODES:
-        raise ValueError(f"unknown sharding mode {sharding!r}; "
-                         f"expected one of {SHARDING_MODES}")
-    n_sites = int(p.get("n_sites", 3))
-    if n_sites < 2:
-        raise ValueError("shard_fabric needs at least 2 sites")
-    wan_delay = float(p.get("wan_delay", 0.05))
-    warmup = float(p.get("warmup", 1.0))
-    duration = float(p.get("duration", 4.0))
-    tail = float(p.get("tail", 1.0))
-
-    site_kwargs = dict(
-        seed=trial.seed,
-        n_ues=int(p.get("n_ues", 4)),
-        warmup=warmup, duration=duration,
-        ping_interval=float(p.get("ping_interval", 0.1)),
-        ping_size=int(p.get("ping_size", 256)),
-        sync_interval=float(p.get("sync_interval", 0.5)),
-        sync_bytes=int(p.get("sync_bytes", 2000)),
-        data_plane=p.get("data_plane", "packet"),
-        bg_mbps=float(p.get("bg_mbps", 0.0)),
-    )
-    names = [f"edge{i}" for i in range(n_sites)]
-    specs = [ShardSpec(name, ShardSiteApp, dict(site_kwargs))
-             for name in names]
-    conduits = [Conduit(names[i], names[j], wan_delay)
-                for i in range(n_sites) for j in range(i + 1, n_sites)]
-    sharded = ShardedSimulator(
-        specs, conduits,
-        backend="process" if sharding == "site" else "inline")
-    sites = sharded.run(until=warmup + duration + tail)
-    return {
-        "n_sites": n_sites,
-        "wan_delay": wan_delay,
-        "lookahead": sharded.lookahead,
-        "envelopes_sent": sharded.envelopes_sent,
-        "envelopes_dropped": sharded.envelopes_dropped,
-        "events_run": sum(s["events_run"] for s in sites.values()),
-        "sites": sites,
-    }
-
-
-# ---------------------------------------------------------------------------
 # search_space: matching time/accuracy per scheme (Figure 11(a))
 # ---------------------------------------------------------------------------
 

@@ -48,7 +48,6 @@ OVERRIDES = {
     "bg_mbps": "traffic.background.mbps",
     "policy": "network.continuity.policy",
     "data_plane": "network.sim.data_plane",
-    "sharding": "network.sim.sharding",
     "retries": "network.resilience.enabled",
     "sites": "topology.sites",
     "enbs_per_site": "topology.enbs_per_site",
@@ -89,9 +88,6 @@ def _apply_overrides(p: dict[str, Any]) -> dict[str, Any]:
     if "data_plane" in overrides:
         section("network").setdefault("sim", {})["data_plane"] = \
             overrides["data_plane"]
-    if "sharding" in overrides:
-        section("network").setdefault("sim", {})["sharding"] = \
-            overrides["sharding"]
     if "retries" in overrides:
         section("network").setdefault("resilience", {})["enabled"] = \
             bool(overrides["retries"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.network import MobileNetwork, Pinger
+from repro.core.network import MobileNetwork, Pinger, wan_link_name
 from repro.epc.entities import ServicePolicy
 from repro.epc.qos import MEC_BEARER_QCI
 from repro.sim.packet import Packet
@@ -240,3 +240,21 @@ def test_pinger_books_injected_signalling_style_loss(network):
     assert outstanding == 0
     if pinger.lost:                 # whatever was in flight at close()
         assert pinger.lost_reasons.get("unanswered") == pinger.lost
+
+
+def test_wan_links_table_matches_named_links():
+    from repro.baselines.deployments import build_edge_fabric
+    network = build_edge_fabric(n_sites=3, enbs_per_site=1, seed=0).network
+    sites = sorted(network.edge_sites)
+    assert len(network.wan_links) == len(sites) * (len(sites) - 1)
+    for a in sites:
+        for b in sites:
+            if a == b:
+                assert (a, b) not in network.wan_links
+                continue
+            link = network.wan_links[(a, b)]
+            assert link is network.wan_links[(b, a)]
+            assert link is network.links[wan_link_name(a, b)]
+    future = network.context_transfer_async("edge0", "edge2", 100_000)
+    network.sim.run()
+    assert future.done and future.value == 100_000

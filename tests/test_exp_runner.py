@@ -1,5 +1,10 @@
 """Unit tests for the declarative experiment spec and runner."""
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.exp import (ExperimentRunner, ExperimentSpec, PRESETS, preset,
@@ -14,6 +19,13 @@ def _double(trial):
     if p.get("explode"):
         raise RuntimeError("boom")
     return {"doubled": p["x"] * 2, "seed": trial.seed}
+
+
+@workload("_test_crash")
+def _crash(trial):
+    if trial.param_dict["crash"]:
+        os._exit(1)          # the worker dies without raising
+    return {"ok": True}
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +131,33 @@ def test_run_trial_is_usable_standalone():
     result = run_trial(trial)
     assert result.status == "ok"
     assert result.metrics["doubled"] == 42
+
+
+def test_pool_never_larger_than_the_trial_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr("repro.exp.runner.ProcessPoolExecutor",
+                        RecordingPool)
+    spec = ExperimentSpec(name="t", workload="_test_double",
+                          sweep={"x": (1, 2)})
+    parallel = ExperimentRunner(spec, workers=8).run()
+    assert sizes == [2]
+    assert parallel.canonical_json() == \
+        ExperimentRunner(spec).run().canonical_json()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="test workloads reach workers only by fork")
+def test_worker_crash_breaks_the_pool_instead_of_hanging():
+    spec = ExperimentSpec(name="t", workload="_test_crash",
+                          sweep={"crash": (False, True)})
+    with pytest.raises(BrokenProcessPool):
+        ExperimentRunner(spec, workers=2).run()
 
 
 # ---------------------------------------------------------------------------
