@@ -10,9 +10,11 @@ test:
 lint:   ## same gate as CI (needs ruff on PATH: pip install ruff)
 	ruff check src/ tests/ benchmarks/ tools/ examples/
 
-perfbench-selftest:   ## benchmark self-tests, and every figure benchmark collects
+perfbench-selftest:   ## benchmark self-tests, every figure benchmark collects, one pinned traced pass per network workload
 	$(PYTHON) -m pytest perfbench -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks --collect-only -q
+	$(PYTHON) perfbench/run.py --workload relocation_walk --seconds 0 --trace 1
+	$(PYTHON) perfbench/run.py --workload attach_storm --seconds 0 --trace 1
 
 exp-smoke:   ## tiny 2-seed experiment spec end-to-end through the parallel runner
 	PYTHONPATH=src $(PYTHON) -m repro exp run smoke --workers 2

@@ -101,7 +101,7 @@ class ARSession:
         self._inflight: dict[int, tuple[float, Frame]] = {}
         self._finished = False
         self._subscription = sim.hooks.on(DownlinkDelivered,
-                                          self._on_downlink)
+                                          self._on_downlink, key=ue)
 
     # -- control ---------------------------------------------------------
 
@@ -138,10 +138,8 @@ class ARSession:
         self.ue.send_app(packet)
 
     def _on_downlink(self, event: DownlinkDelivered) -> None:
-        # server replies echo the request's flow id, so the bus filter
-        # is exact: our UE and our session only
-        if event.ue is not self.ue:
-            return
+        # keyed on our UE; server replies echo the request's flow id,
+        # so this filter leaves our session only
         packet = event.packet
         if packet.flow_id != self.flow_id:
             return

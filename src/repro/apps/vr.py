@@ -108,7 +108,7 @@ class VRClient:
         self._sent_at: dict[int, float] = {}
         self._running = False
         self._subscription = sim.hooks.on(DownlinkDelivered,
-                                          self._on_downlink)
+                                          self._on_downlink, key=ue)
 
     def start(self, at: float = 0.0) -> None:
         self._running = True
@@ -143,9 +143,8 @@ class VRClient:
         self.sim.schedule(self.tick_interval, self._tick)
 
     def _on_downlink(self, event: DownlinkDelivered) -> None:
-        # tiles echo the pose's flow id, so filter to our UE + session
-        if event.ue is not self.ue:
-            return
+        # keyed on our UE; tiles echo the pose's flow id, so filter to
+        # our session
         packet = event.packet
         if packet.flow_id != self.flow_id:
             return

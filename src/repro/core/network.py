@@ -607,9 +607,10 @@ class Pinger:
     """ICMP-style RTT measurement from a UE to an echoing server.
 
     Subscribes to the UE's :class:`~repro.epc.events.DownlinkDelivered`
-    events on the hook bus; any number of pingers (and other observers)
-    can therefore watch the same UE concurrently.  ``close()`` detaches
-    the subscription and books still-outstanding pings as ``lost``.
+    events on the hook bus, keyed on the UE; any number of pingers (and
+    other observers) can therefore watch the same UE concurrently.
+    ``close()`` detaches the subscription and books still-outstanding
+    pings as ``lost``.
 
     Mid-flight drops are counted *as they happen*: the pinger also
     watches :class:`~repro.sim.hooks.PacketDropped` and books a loss
@@ -631,13 +632,11 @@ class Pinger:
         self.lost_reasons: dict[str, int] = {}
         self._sent: dict[int, float] = {}
         self._subscription = network.hooks.on(DownlinkDelivered,
-                                              self._on_downlink)
+                                              self._on_downlink, key=ue)
         self._drop_subscription = network.hooks.on(PacketDropped,
                                                    self._on_drop)
 
     def _on_downlink(self, event: DownlinkDelivered) -> None:
-        if event.ue is not self.ue:
-            return
         original = event.packet.meta.get("echo_of")
         sent_at = self._sent.pop(original, None)
         if sent_at is not None:

@@ -10,7 +10,7 @@ listeners can watch the same UE without a hand-rolled handler chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.epc.bearer import Bearer
@@ -112,7 +112,13 @@ class ServiceRequestCompleted:
 
 @dataclass(frozen=True)
 class DownlinkDelivered:
-    """A packet reached a UE over the radio interface."""
+    """A packet reached a UE over the radio interface.
+
+    Keyed by ``ue``: per-UE listeners subscribe with ``key=ue`` and see
+    only their own UE's downlink.
+    """
+
+    hook_key: ClassVar[str] = "ue"
 
     ue: "UEDevice"
     packet: "Packet"

@@ -1,54 +1,44 @@
 """GTP-U user-plane encapsulation helpers.
 
 Data bearers are carried over GTP/UDP/IP tunnels differentiated by TEID.
-Encapsulation pushes the full outer stack (GTP-U 8 B + UDP 8 B + IPv4
-20 B = 36 B of tunnel overhead per packet), which the link layer charges
-to serialization time -- the per-packet tunnelling tax Figure 8 exposes.
+A tunnel is modelled as what the user plane matches on, its TEID, pushed
+onto the packet's tunnel stack (:attr:`Packet.teids`), plus its bytes:
+GTP-U 8 B + UDP 8 B + IPv4 20 B = 36 B of overhead per packet, which the
+link layer charges to serialization time -- the per-packet tunnelling
+tax Figure 8 exposes.  The outer addresses are not kept: nothing reads
+them.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.packet import Header, Packet
-
-GTPU_HEADER_SIZE = 8
-UDP_HEADER_SIZE = 8
-IPV4_HEADER_SIZE = 20
-
-#: Total per-packet overhead of one GTP-U tunnel hop.
-GTP_TUNNEL_OVERHEAD = GTPU_HEADER_SIZE + UDP_HEADER_SIZE + IPV4_HEADER_SIZE
-
-#: Standard GTP-U port.
-GTPU_PORT = 2152
+# GTP_TUNNEL_OVERHEAD is re-exported: the packet model charges it per
+# tunnel on the stack
+from repro.sim.packet import GTP_TUNNEL_OVERHEAD, Packet  # noqa: F401
 
 
 def gtp_encapsulate(packet: Packet, teid: int, src: str, dst: str) -> Packet:
-    """Push a GTP-U/UDP/IPv4 stack onto a packet (mutates and returns it)."""
-    packet.push_header(Header("GTP-U", GTPU_HEADER_SIZE, {"teid": teid}))
-    packet.push_header(Header("UDP", UDP_HEADER_SIZE,
-                              {"src_port": GTPU_PORT, "dst_port": GTPU_PORT}))
-    packet.push_header(Header("IPv4", IPV4_HEADER_SIZE,
-                              {"src": src, "dst": dst}))
+    """Push a GTP-U tunnel from ``src`` to ``dst`` onto a packet
+    (mutates and returns it)."""
+    packet.push_teid(teid)
     return packet
 
 
 def gtp_decapsulate(packet: Packet) -> tuple[Packet, int]:
-    """Pop one GTP-U tunnel stack; returns ``(packet, teid)``.
+    """Pop one GTP-U tunnel; returns ``(packet, teid)``.
 
     Raises ``ValueError`` if the packet is not GTP-encapsulated.
     """
-    packet.pop_header("IPv4")
-    packet.pop_header("UDP")
-    gtp = packet.pop_header("GTP-U")
-    return packet, gtp["teid"]
+    return packet, packet.pop_teid()
 
 
 def gtp_teid(packet: Packet) -> Optional[int]:
-    """Read the TEID of the (single) GTP-U header, without mutating."""
-    header = packet.find_header("GTP-U")
-    return None if header is None else header["teid"]
+    """The TEID of the packet's (innermost) tunnel, without mutating;
+    ``None`` for a bare packet."""
+    teids = packet.teids
+    return teids[0] if teids else None
 
 
 def is_gtp(packet: Packet) -> bool:
-    return packet.find_header("GTP-U") is not None
+    return bool(packet.teids)

@@ -21,7 +21,7 @@ from repro.sim.hooks import (HookBus, PacketDelivered, PacketDropped,
 from repro.sim.link import Link
 from repro.sim.monitor import FlowStats, LatencyProbe, ThroughputMeter
 from repro.sim.node import Node, PacketSink
-from repro.sim.packet import Header, Packet
+from repro.sim.packet import Packet
 from repro.sim.tcp import TcpSink, TcpSource
 from repro.sim.traffic import CBRSource, GreedySource, PoissonSource
 from repro.sim.wan import LTE_WAN_PROFILES, WANProfile
@@ -35,7 +35,6 @@ __all__ = [
     "FluidLink",
     "FluidQueue",
     "GreedySource",
-    "Header",
     "HookBus",
     "LatencyProbe",
     "Link",

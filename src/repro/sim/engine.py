@@ -35,6 +35,16 @@ Internal continuations (process steps, future settlement) recycle their
 the engine, so reuse is safe, and a signalling storm allocates almost
 no event objects in steady state.  Periodic sources get the same
 benefit explicitly via :meth:`Event.reschedule`.
+
+An internal event can also be *reserved* instead of pushed: its caller
+takes the key the push would have had (``now + delay`` and
+``next(sim._seq)``) and pushes it later, under that same key, only if
+it turns out to have work (:meth:`Simulator._schedule_reserved`).  A
+link's tx-done is the one user: it almost always finds an empty queue.
+Whether a reserved key has already "run" is answered by
+:meth:`Simulator._key_ran` from the key of the running event, which
+``run`` and ``step`` record.  The order of every pushed event is the
+order it would have had with the eager push.
 """
 
 from __future__ import annotations
@@ -124,7 +134,7 @@ class Event:
         self.seq = next(sim._seq)
         self.cancelled = False
         self._popped = False
-        sim._push(self, delay)
+        sim._push(self, delay == 0.0 and self.priority == 0)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -305,15 +315,20 @@ class Simulator:
         self._pool: list[Event] = []
         self._pool_hits = 0
         self._pool_misses = 0
+        # (priority, seq) of the running event, whose time is ``now``;
+        # after a drained or ``until``-bounded run, a watermark seq
+        # under which every priority-0 event at ``now`` has run
+        self._run_priority = 0
+        self._run_seq = -1
 
     # -- the queue --------------------------------------------------------
 
-    def _push(self, event: Event, delay: float) -> None:
+    def _push(self, event: Event, lane: bool) -> None:
         """Queue an armed event: the now lane takes zero-delay events at
-        default priority, the heap everything else."""
+        default priority (``lane``), the heap everything else."""
         self._live += 1
         self.arm_epoch += 1
-        if delay == 0.0 and event.priority == 0:
+        if lane:
             self._now_lane.append(event)
             return
         heap = self._heap
@@ -376,29 +391,64 @@ class Simulator:
         _check_delay(delay)
         event = Event(self.now + delay, priority, next(self._seq), fn, args,
                       self)
-        self._push(event, delay)
+        self._push(event, delay == 0.0 and priority == 0)
         return event
 
     def _schedule_internal(self, delay: float, fn: Callable[..., Any],
                            *args: Any) -> None:
         """Engine-internal scheduling: the handle never escapes, so the
         event is recycled through the free pool after it runs."""
+        self._schedule_pooled(self.now + delay, next(self._seq), fn, args,
+                              delay == 0.0)
+
+    def _schedule_reserved(self, time: float, seq: int,
+                           fn: Callable[..., Any], *args: Any) -> None:
+        """Push an internal event under a key reserved earlier.
+
+        ``time`` and ``seq`` are the key an eager ``_schedule_internal``
+        would have given the event when it was reserved (``seq`` came
+        from ``next(self._seq)`` then), so it runs exactly where the
+        eager event would have run.  The key must not have run yet
+        (:meth:`_key_ran`).  It always goes to the heap: an older seq
+        would break the now lane's FIFO order.
+        """
+        self._schedule_pooled(time, seq, fn, args, False)
+
+    def _schedule_pooled(self, time: float, seq: int,
+                         fn: Callable[..., Any], args: tuple,
+                         lane: bool) -> None:
         pool = self._pool
         if pool:
             event = pool.pop()
             self._pool_hits += 1
-            event.time = self.now + delay
-            event.seq = next(self._seq)
+            event.time = time
+            event.seq = seq
             event.fn = fn
             event.args = args
             event.cancelled = False
             event._popped = False
         else:
             self._pool_misses += 1
-            event = Event(self.now + delay, 0, next(self._seq), fn, args,
-                          self)
+            event = Event(time, 0, seq, fn, args, self)
             event._recyclable = True
-        self._push(event, delay)
+        self._push(event, lane)
+
+    def _key_ran(self, seq: int) -> bool:
+        """Whether the priority-0 key ``(now, 0, seq)`` has run, i.e. is
+        at or before the running event's key (or the watermark left by
+        the last drained or ``until``-bounded run)."""
+        priority = self._run_priority
+        return priority > 0 or (priority == 0 and seq <= self._run_seq)
+
+    def _mark_all_ran(self) -> None:
+        """Every event at or before ``now`` has run: set the watermark
+        to the last seq issued, so keys reserved later still count as
+        pending.  Peeking at the counter restarts it at the same value,
+        so the seqs it hands out are unchanged."""
+        mark = next(self._seq)
+        self._seq = itertools.count(mark)
+        self._run_priority = 0
+        self._run_seq = mark - 1
 
     def _schedule_step(self, fn: Callable[..., Any], *args: Any) -> None:
         """Zero-delay internal continuation (the dominant event kind)."""
@@ -435,7 +485,11 @@ class Simulator:
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` passes, or
-        ``max_events`` callbacks have executed."""
+        ``max_events`` callbacks have executed.
+
+        The clock parks at ``until`` only once no event at or before it
+        is left: a ``max_events`` stop leaves it at the last event run,
+        so the next run never moves it backwards."""
         pop = self._pop
         recycle = self._recycle
         # the executed-event count is accumulated locally and folded
@@ -445,15 +499,18 @@ class Simulator:
             while max_events is None or ran < max_events:
                 event = pop(until)
                 if event is None:
+                    if until is not None and self.now < until:
+                        self.now = until
+                    self._mark_all_ran()
                     break
                 ran += 1
                 self.now = event.time
+                self._run_priority = event.priority
+                self._run_seq = event.seq
                 event.fn(*event.args)
                 recycle(event)
         finally:
             self._events_run += ran
-        if until is not None and self.now < until:
-            self.now = until
 
     def run_until_complete(self, proc: Process) -> Any:
         """Drive the event queue until ``proc`` finishes; return its value.
@@ -479,10 +536,13 @@ class Simulator:
         """Run exactly one pending event.  Returns False if none remain."""
         event = self._pop(None)
         if event is None:
+            self._mark_all_ran()
             return False
         # counted before the call, as in run(): a raising callback ran
         self._events_run += 1
         self.now = event.time
+        self._run_priority = event.priority
+        self._run_seq = event.seq
         event.fn(*event.args)
         self._recycle(event)
         return True
@@ -505,6 +565,11 @@ class Simulator:
         arming bumps :attr:`arm_epoch`, which sleepers compare against
         a snapshot to know when to re-sample instead of trusting a
         stale bound.
+
+        A link's reserved but unarmed tx-done is not in the queue, so
+        it never sets the bound.  The pacer is unaffected: that event
+        would do no work, and the arrival of the same packet is queued
+        at or after it, so the bound still never passes real work.
         """
         if self._live <= 0:
             return None
@@ -516,6 +581,9 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued.
+
+        A link's reserved but unarmed tx-done is not counted: it is
+        never queued unless a packet waits behind it.
 
         O(1): maintained as a live-event counter on push/pop/cancel
         (monitoring loops call this per tick; scanning the queue made

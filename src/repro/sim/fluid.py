@@ -664,22 +664,10 @@ class FluidLink(Link):
 
     def _transmit_packet(self, direction: "_Direction", packet: Packet,
                          wire_size: int) -> None:
+        wait = 0.0
         queue = self._fluid_by_dir.get(id(direction))
-        if queue is None or not queue._entries:
-            super()._transmit_packet(direction, packet, wire_size)
-            return
-        priority = (self.priority_of(packet) if self.qos_priority
-                    else None)
-        wait = queue.packet_wait(self.sim.now, priority=priority)
-        receiver = direction.peer
-        if receiver is None:
-            raise ValueError(f"link {self.name} is not fully wired")
-        direction.busy = True
-        tx_time = wait + wire_size * 8 / direction.bandwidth
-        direction.tx_packets += 1
-        direction.tx_bytes += wire_size
-        sim = self.sim
-        sim._schedule_internal(tx_time + self._propagation(),
-                               receiver.receive, packet, self)
-        sim._schedule_internal(tx_time, self._start_transmission,
-                               direction)
+        if queue is not None and queue._entries:
+            priority = (self.priority_of(packet) if self.qos_priority
+                        else None)
+            wait = queue.packet_wait(self.sim.now, priority=priority)
+        super()._transmit_packet(direction, packet, wire_size, wait)

@@ -12,16 +12,23 @@ Design rules:
 * dispatch is by **exact event type** -- one dict lookup per emit, so
   emitting on a bus nobody listens to is near-free (guard hot paths
   with :meth:`HookBus.has` to skip even the event construction);
+* a subscription may be **keyed**: ``bus.on(DownlinkDelivered, fn,
+  key=ue)`` only sees events whose key field (named by the event
+  type's ``hook_key`` class attribute) is ``ue``, found with one more
+  dict lookup -- so a thousand per-UE listeners cost an emit one call,
+  not a thousand;
 * handlers run synchronously, in subscription order, on the emitter's
-  stack -- the bus adds no scheduling of its own;
+  stack -- the bus adds no scheduling of its own.  Keyed and unkeyed
+  handlers of one event are served merged, in subscription order;
 * handlers may subscribe/unsubscribe (including themselves) during
   dispatch: a subscription closed mid-dispatch never sees the event
   again, a subscription opened mid-dispatch first sees the *next*
   event, and other subscribers are neither skipped nor double-served.
-  Removal is deferred while a dispatch is on the stack (the handler
-  list is compacted when the outermost emit returns), so the emit loop
+  Removal is deferred while a dispatch is on the stack (handler lists
+  are compacted when the outermost emit returns), so the emit loop
   walks the live list by index instead of allocating a snapshot per
-  event.
+  event -- except when keyed and unkeyed handlers both match, which
+  walks a merged snapshot.
 
 The sim-layer events live here too; higher layers define their own
 (:mod:`repro.epc.events`, :mod:`repro.sdn.events`) and emit them over
@@ -30,8 +37,10 @@ the same bus -- the bus is type-agnostic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, Type
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Type
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.link import Link
@@ -42,13 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class Subscription:
     """Handle returned by :meth:`HookBus.on`; ``close()`` detaches it."""
 
-    __slots__ = ("bus", "event_type", "fn", "active")
+    __slots__ = ("bus", "event_type", "fn", "key", "order", "active")
 
     def __init__(self, bus: "HookBus", event_type: type,
-                 fn: Callable[[Any], None]) -> None:
+                 fn: Callable[[Any], None], key: Any, order: int) -> None:
         self.bus = bus
         self.event_type = event_type
         self.fn = fn
+        self.key = key          # None: every event of the type
+        self.order = order      # bus-wide subscription order
         self.active = True
 
     def close(self) -> None:
@@ -61,27 +72,43 @@ class Subscription:
                 f"{getattr(self.fn, '__name__', self.fn)} {state}>")
 
 
+_by_order = attrgetter("order")
+
+
 class HookBus:
     """Synchronous typed signal bus."""
 
     def __init__(self) -> None:
-        self._handlers: dict[type, list[Subscription]] = {}
+        self._handlers: dict[type, list[Subscription]] = {}     # unkeyed
+        self._keyed: dict[type, dict[Any, list[Subscription]]] = {}
+        self._order = itertools.count()
         self.emitted = 0
         #: bumped on every subscribe/unsubscribe; hot paths cache their
         #: ``has()`` verdict against it instead of probing per emit
         self.generation = 0
-        self._dispatching = 0           # emit() nesting depth
-        self._dirty: set[type] = set()  # types with deferred removals
+        self._dispatching = 0                   # emit() nesting depth
+        self._deferred: list[Subscription] = []  # closed mid-dispatch
 
     # -- subscription management -----------------------------------------
 
-    def on(self, event_type: Type[Any],
-           fn: Callable[[Any], None]) -> Subscription:
-        """Register ``fn`` to run for every emitted ``event_type``."""
+    def on(self, event_type: Type[Any], fn: Callable[[Any], None],
+           key: Any = None) -> Subscription:
+        """Register ``fn`` to run for every emitted ``event_type``.
+
+        With ``key``, only for events whose ``hook_key`` field is
+        ``key``; a type without a ``hook_key`` raises ``TypeError``.
+        """
         if not isinstance(event_type, type):
             raise TypeError(f"event type must be a class, got {event_type!r}")
-        sub = Subscription(self, event_type, fn)
-        self._handlers.setdefault(event_type, []).append(sub)
+        sub = Subscription(self, event_type, fn, key, next(self._order))
+        if key is None:
+            self._handlers.setdefault(event_type, []).append(sub)
+        else:
+            if not isinstance(getattr(event_type, "hook_key", None), str):
+                raise TypeError(f"{event_type.__name__} declares no "
+                                f"hook_key; it cannot be subscribed by key")
+            self._keyed.setdefault(event_type, {}).setdefault(
+                key, []).append(sub)
         self.generation += 1
         return sub
 
@@ -90,60 +117,60 @@ class HookBus:
 
         Safe to call from inside a handler: while any dispatch is on
         the stack the subscription is only marked inactive (so in-flight
-        emit loops skip it without disturbing their iteration) and the
-        handler list is compacted when the outermost emit returns.
+        emit loops skip it without disturbing their iteration) and it
+        leaves its handler list when the outermost emit returns.
         """
         if not subscription.active:
             return
         subscription.active = False
         if self._dispatching:
-            self._dirty.add(subscription.event_type)
+            self._deferred.append(subscription)
         else:
             self._remove(subscription)
         self.generation += 1
 
     def _remove(self, subscription: Subscription) -> None:
-        subs = self._handlers.get(subscription.event_type)
-        if subs is not None:
-            try:
-                subs.remove(subscription)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            if not subs:
-                del self._handlers[subscription.event_type]
+        event_type, key = subscription.event_type, subscription.key
+        if key is None:
+            table, slot = self._handlers, event_type
+        else:
+            table, slot = self._keyed[event_type], key
+        subs = table[slot]
+        subs.remove(subscription)
+        if not subs:
+            del table[slot]
+            if key is not None and not table:
+                del self._keyed[event_type]
 
-    def _compact(self) -> None:
-        for event_type in self._dirty:
-            subs = self._handlers.get(event_type)
-            if subs is None:
-                continue
-            live = [s for s in subs if s.active]
-            if live:
-                self._handlers[event_type] = live
-            else:
-                del self._handlers[event_type]
-        self._dirty.clear()
+    def _lists(self, event_type: Optional[type] = None
+               ) -> Iterator[list[Subscription]]:
+        """Every handler list, or only those of ``event_type``."""
+        if event_type is None:
+            yield from self._handlers.values()
+            for by_key in self._keyed.values():
+                yield from by_key.values()
+            return
+        if event_type in self._handlers:
+            yield self._handlers[event_type]
+        yield from self._keyed.get(event_type, {}).values()
 
     def has(self, event_type: type) -> bool:
         """True if anyone listens for ``event_type`` (hot-path guard).
 
-        May report a false positive for a type whose last subscriber
-        closed during an in-flight dispatch (pending compaction); the
-        guard's contract -- "emitting is a no-op when False" -- holds
-        either way.
+        Keyed subscribers count, whatever their key.  May report a
+        false positive for a type whose last subscriber closed during
+        an in-flight dispatch (pending removal); the guard's contract
+        -- "emitting is a no-op when False" -- holds either way.
         """
-        return event_type in self._handlers
+        return event_type in self._handlers or event_type in self._keyed
 
     def subscriber_count(self, event_type: Optional[type] = None) -> int:
-        if event_type is not None:
-            return sum(1 for s in self._handlers.get(event_type, ())
-                       if s.active)
-        return sum(1 for subs in self._handlers.values()
+        return sum(1 for subs in self._lists(event_type)
                    for s in subs if s.active)
 
     def close(self) -> None:
         """Detach every subscriber."""
-        for subs in list(self._handlers.values()):
+        for subs in list(self._lists()):
             for sub in list(subs):
                 self.off(sub)
 
@@ -159,8 +186,17 @@ class HookBus:
         via their ``active`` flag, and removal is deferred until the
         outermost dispatch returns so no subscriber is skipped or
         double-served by list compaction happening mid-iteration.
+        Handlers keyed on the event's key join the unkeyed ones in
+        subscription order (a merged snapshot when both exist).
         """
-        subs = self._handlers.get(type(event))
+        event_type = type(event)
+        subs = self._handlers.get(event_type)
+        by_key = self._keyed.get(event_type)
+        if by_key is not None:
+            keyed = by_key.get(getattr(event, event_type.hook_key))
+            if keyed:
+                subs = sorted(subs + keyed, key=_by_order) if subs \
+                    else keyed
         if not subs:
             return 0
         self.emitted += 1
@@ -174,8 +210,10 @@ class HookBus:
                     count += 1
         finally:
             self._dispatching -= 1
-            if not self._dispatching and self._dirty:
-                self._compact()
+            if not self._dispatching and self._deferred:
+                deferred, self._deferred = self._deferred, []
+                for sub in deferred:
+                    self._remove(sub)
         return count
 
 

@@ -9,6 +9,14 @@ When ``qos_priority=True`` the queue is a strict-priority queue keyed by
 the packet's QCI priority (see :mod:`repro.epc.qos`): this is what lets a
 dedicated bearer with a better QCI overtake best-effort background
 traffic on a shared link (Figure 10(a)).
+
+A transmission costs one engine event, its arrival.  The tx-done that
+frees the transmitter is only *reserved*: its key (``done_time``,
+``done_seq``) is taken when the transmission starts, and it is pushed
+under that key only if a packet waits behind it.  Until that key has
+run the direction is busy; after it, idle.  The queue is non-empty only
+while an armed tx-done is pending, so every event runs in the order the
+eager two-event version gave it.
 """
 
 from __future__ import annotations
@@ -42,7 +50,11 @@ class _Direction:
         self.link = link
         self.bandwidth = link.bandwidth     # overridden per direction
         self.peer: Optional["Node"] = None  # set when both ends register
-        self.busy = False
+        # the last transmission's tx-done: reserved key, and whether it
+        # was pushed (only when a packet waits behind it)
+        self.done_time = float("-inf")
+        self.done_seq = -1
+        self.armed = False
         self.queued_bytes = 0
         self.drops = 0
         self.tx_packets = 0
@@ -203,9 +215,12 @@ class Link:
         if not self.up:
             self._signal_drop(packet, sender, "link-down")
             return
-        if not direction.busy and direction.queued_bytes == 0:
-            # idle direction, empty queue: enqueue-then-dequeue would
-            # hand back this same packet, so transmit it directly
+        sim = self.sim
+        done = direction.done_time
+        if done < sim.now or (done == sim.now
+                              and sim._key_ran(direction.done_seq)):
+            # idle direction (so its queue is empty): enqueue-then-
+            # dequeue would hand back this same packet, so transmit it
             wire_size = packet.wire_size
             if wire_size > self.queue_bytes:
                 direction.drops += 1
@@ -216,8 +231,10 @@ class Link:
         if not direction.enqueue(packet):
             self._signal_drop(packet, sender, "queue-overflow")
             return  # drop-tail
-        if not direction.busy:
-            self._start_transmission(direction)
+        if not direction.armed:
+            direction.armed = True
+            sim._schedule_reserved(done, direction.done_seq,
+                                   self._start_transmission, direction)
 
     @property
     def dropped_while_down(self) -> int:
@@ -242,27 +259,33 @@ class Link:
         return self.delay + float(self.rng.uniform(0.0, self.jitter))
 
     def _start_transmission(self, direction: _Direction) -> None:
+        """The armed tx-done: a packet waits, so send the next one."""
         packet = direction.dequeue()
-        if packet is None:
-            direction.busy = False
-            return
         self._transmit_packet(direction, packet, packet.wire_size)
 
     def _transmit_packet(self, direction: _Direction, packet: Packet,
-                         wire_size: int) -> None:
+                         wire_size: int, wait: float = 0.0) -> None:
+        """Put a packet on the wire after ``wait`` seconds of extra
+        queueing (the fluid backlog ahead of it, see FluidLink)."""
         receiver = direction.peer
         if receiver is None:
             raise ValueError(f"link {self.name} is not fully wired")
-        direction.busy = True
-        tx_time = wire_size * 8 / direction.bandwidth
+        tx_time = wait + wire_size * 8 / direction.bandwidth
         direction.tx_packets += 1
         direction.tx_bytes += wire_size
-        # internal pooled scheduling: neither handle escapes the link,
+        # internal pooled scheduling: the handle never escapes the link,
         # so a saturated link allocates no Event objects in steady state
         sim = self.sim
         sim._schedule_internal(tx_time + self._propagation(),
                                receiver.receive, packet, self)
-        sim._schedule_internal(tx_time, self._start_transmission, direction)
+        # reserve the tx-done's key, taking the seq an eager push would
+        # have taken; push it now only if packets are already waiting
+        done = direction.done_time = sim.now + tx_time
+        seq = direction.done_seq = next(sim._seq)
+        direction.armed = bool(direction._fifo or direction._prio_heap)
+        if direction.armed:
+            sim._schedule_reserved(done, seq, self._start_transmission,
+                                   direction)
 
     # -- stats ------------------------------------------------------------
 

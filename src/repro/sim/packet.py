@@ -1,62 +1,30 @@
-"""Packet and protocol-header model.
+"""Packet model with a GTP tunnel stack.
 
 A :class:`Packet` carries an application payload size plus a stack of
-:class:`Header` objects.  Encapsulation (GTP-U over UDP/IP, for example)
-pushes headers; the wire size used for serialization delay is the payload
-plus every header currently on the stack, which is how the simulator
-charges tunnelling overhead.
+tunnel endpoint identifiers (TEIDs), innermost first.  Encapsulation
+(GTP-U over UDP/IPv4) pushes a TEID; the wire size used for
+serialization delay is the payload plus :data:`GTP_TUNNEL_OVERHEAD`
+bytes per tunnel, which is how the simulator charges tunnelling
+overhead.  Only the TEID of a tunnel is ever read -- switches match on
+it as a field -- so the outer headers are not modelled beyond their
+bytes.
 
-Both classes are slotted and construct lazily: a packet-flood's packets
-never touch metadata or encapsulation, so ``meta`` and ``headers`` only
-materialise their dict/list on first access.  This is the hot
-allocation path of every figure-scale experiment -- millions of packets
-per run -- which is why the classes are hand-rolled rather than
-dataclasses.
+The class is slotted and constructs lazily: a packet-flood's packets
+never touch metadata or encapsulation, so ``meta`` and ``teids`` only
+materialise their dict/list on first use.  This is the hot allocation
+path of every figure-scale experiment -- millions of packets per run --
+which is why the class is hand-rolled rather than a dataclass.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import Optional
 
 _packet_ids = itertools.count(1)
 
-
-class Header:
-    """A protocol header pushed onto a packet.
-
-    Parameters
-    ----------
-    protocol:
-        Short protocol name, e.g. ``"GTP-U"`` or ``"IPv4"``.
-    size:
-        Header length in bytes, charged to the wire size.
-    fields:
-        Protocol-specific key/value fields (e.g. ``{"teid": 0x1001}``).
-    """
-
-    __slots__ = ("protocol", "size", "fields")
-
-    def __init__(self, protocol: str, size: int,
-                 fields: Optional[dict] = None) -> None:
-        self.protocol = protocol
-        self.size = size
-        self.fields = {} if fields is None else fields
-
-    def __getitem__(self, key: str) -> Any:
-        return self.fields[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Header):
-            return NotImplemented
-        return (self.protocol == other.protocol and self.size == other.size
-                and self.fields == other.fields)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Header(protocol={self.protocol!r}, size={self.size!r})"
+#: Wire bytes one GTP-U tunnel adds: GTP-U 8 B + UDP 8 B + IPv4 20 B.
+GTP_TUNNEL_OVERHEAD = 36
 
 
 class Packet:
@@ -68,18 +36,17 @@ class Packet:
 
     __slots__ = ("src", "dst", "size", "protocol", "src_port", "dst_port",
                  "flow_id", "qci", "created_at", "packet_id",
-                 "_meta", "_headers")
+                 "_meta", "teids")
 
     def __init__(self, src: str, dst: str, size: int,
                  protocol: str = "UDP", src_port: int = 0, dst_port: int = 0,
                  flow_id: str = "", qci: Optional[int] = None,
                  created_at: float = 0.0,
                  meta: Optional[dict] = None,
-                 headers: Optional[list] = None,
                  packet_id: Optional[int] = None) -> None:
         self.src = src
         self.dst = dst
-        self.size = size                # payload bytes (headers add on top)
+        self.size = size                # payload bytes (tunnels add on top)
         self.protocol = protocol
         self.src_port = src_port
         self.dst_port = dst_port
@@ -87,12 +54,13 @@ class Packet:
         self.qci = qci                  # QoS class set once mapped to a bearer
         self.created_at = created_at
         self._meta = meta
-        self._headers = headers
+        #: tunnel stack, innermost first; None until the first push
+        self.teids: Optional[list[int]] = None
         self.packet_id = (next(_packet_ids) if packet_id is None
                           else packet_id)
 
-    # meta and headers materialise on first touch; most packets need
-    # neither, and the empty containers dominated construction cost
+    # meta materialises on first touch and teids on first push; most
+    # packets need neither, and empty containers dominated construction
 
     @property
     def meta(self) -> dict:
@@ -106,23 +74,12 @@ class Packet:
         self._meta = value
 
     @property
-    def headers(self) -> list:
-        headers = self._headers
-        if headers is None:
-            headers = self._headers = []
-        return headers
-
-    @headers.setter
-    def headers(self, value: list) -> None:
-        self._headers = value
-
-    @property
     def wire_size(self) -> int:
-        """Bytes on the wire: payload plus all pushed headers."""
-        headers = self._headers
-        if not headers:
+        """Bytes on the wire: payload plus every tunnel's overhead."""
+        teids = self.teids
+        if not teids:
             return self.size
-        return self.size + sum(h.size for h in headers)
+        return self.size + GTP_TUNNEL_OVERHEAD * len(teids)
 
     @property
     def five_tuple(self) -> tuple[str, str, str, int, int]:
@@ -131,53 +88,40 @@ class Packet:
 
     # -- encapsulation ----------------------------------------------------
 
-    def push_header(self, header: Header) -> None:
-        """Encapsulate: the new header becomes the outermost."""
-        self.headers.append(header)
+    def push_teid(self, teid: int) -> None:
+        """Encapsulate: the new tunnel becomes the outermost."""
+        teids = self.teids
+        if teids is None:
+            self.teids = [teid]
+        else:
+            teids.append(teid)
 
-    def pop_header(self, protocol: Optional[str] = None) -> Header:
-        """Decapsulate the outermost header.
+    def pop_teid(self) -> int:
+        """Decapsulate the outermost tunnel and return its TEID.
 
-        If ``protocol`` is given, it must match the outermost header's
-        protocol; a mismatch raises ``ValueError`` (mis-wired tunnel).
+        Raises ``ValueError`` on a bare packet (mis-wired tunnel).
         """
-        if not self._headers:
-            raise ValueError("no headers to pop")
-        header = self._headers[-1]
-        if protocol is not None and header.protocol != protocol:
-            raise ValueError(
-                f"expected outer header {protocol!r}, found {header.protocol!r}")
-        return self._headers.pop()
-
-    def outer_header(self) -> Optional[Header]:
-        """The outermost header, or None for a bare packet."""
-        headers = self._headers
-        return headers[-1] if headers else None
-
-    def find_header(self, protocol: str) -> Optional[Header]:
-        """Innermost-first search for a header by protocol name."""
-        if self._headers:
-            for header in self._headers:
-                if header.protocol == protocol:
-                    return header
-        return None
+        if not self.teids:
+            raise ValueError("packet carries no tunnel to pop")
+        return self.teids.pop()
 
     def copy(self) -> "Packet":
-        """Deep-ish copy with a fresh packet id (headers are duplicated)."""
+        """Deep-ish copy with a fresh packet id (the tunnel stack and
+        meta are duplicated)."""
         clone = Packet(
             src=self.src, dst=self.dst, size=self.size,
             protocol=self.protocol, src_port=self.src_port,
             dst_port=self.dst_port, flow_id=self.flow_id, qci=self.qci,
             created_at=self.created_at,
             meta=dict(self._meta) if self._meta else None,
-            headers=([Header(h.protocol, h.size, dict(h.fields))
-                      for h in self._headers] if self._headers else None),
         )
+        if self.teids:
+            clone.teids = list(self.teids)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        encap = "/".join(h.protocol for h in reversed(self.headers))
-        encap = f" [{encap}]" if encap else ""
+        encap = (" [" + "/".join(f"GTP:{t:#x}" for t in reversed(self.teids))
+                 + "]") if self.teids else ""
         return (f"<Packet #{self.packet_id} {self.src}:{self.src_port}->"
                 f"{self.dst}:{self.dst_port} {self.protocol} "
                 f"{self.size}B{encap}>")

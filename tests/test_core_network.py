@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.network import MobileNetwork, Pinger, wan_link_name
 from repro.epc.entities import ServicePolicy
+from repro.epc.gtp import gtp_teid
 from repro.epc.qos import MEC_BEARER_QCI
 from repro.sim.packet import Packet
 
@@ -52,15 +53,15 @@ def test_gtp_tunnels_used_on_backhaul(network):
     original = central.sgw_u.on_receive
 
     def spy(packet, link):
-        seen.append(packet.find_header("GTP-U"))
+        seen.append(gtp_teid(packet))
         original(packet, link)
 
     central.sgw_u.on_receive = spy
     ue.send_app(Packet(src=ue.ip, dst=internet.ip, size=100,
                        created_at=network.sim.now))
     network.sim.run(until=1.0)
-    uplink_headers = [h for h in seen if h is not None]
-    assert uplink_headers, "no GTP-U header observed at the SGW-U"
+    uplink_teids = [t for t in seen if t is not None]
+    assert uplink_teids, "no GTP-U tunnel observed at the SGW-U"
 
 
 def test_cloud_rtt_near_70ms(network):

@@ -1,6 +1,7 @@
 """Unit tests for the typed hook bus and SimContext RNG streams."""
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import pytest
 
@@ -15,6 +16,14 @@ class Ping:
 @dataclass(frozen=True)
 class Pong:
     value: int
+
+
+@dataclass(frozen=True)
+class Keyed:
+    hook_key: ClassVar[str] = "who"
+
+    who: str
+    value: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +222,82 @@ def test_emitted_counts_only_observed_events():
     bus.on(Ping, lambda e: None)
     bus.emit(Ping(2))
     assert bus.emitted == 1
+
+
+# ---------------------------------------------------------------------------
+# Keyed subscriptions
+# ---------------------------------------------------------------------------
+
+def test_keyed_and_unkeyed_handlers_merge_in_subscription_order():
+    bus = HookBus()
+    order = []
+    bus.on(Keyed, lambda e: order.append("any-1"))
+    bus.on(Keyed, lambda e: order.append("a-1"), key="a")
+    bus.on(Keyed, lambda e: order.append("b-1"), key="b")
+    bus.on(Keyed, lambda e: order.append("any-2"))
+    bus.on(Keyed, lambda e: order.append("a-2"), key="a")
+    assert bus.emit(Keyed("a")) == 4
+    assert order == ["any-1", "a-1", "any-2", "a-2"]
+
+
+def test_other_keys_are_never_delivered():
+    bus = HookBus()
+    seen = {"a": [], "b": []}
+    for who in seen:
+        bus.on(Keyed, lambda e, who=who: seen[who].append(e.value), key=who)
+    bus.emit(Keyed("a", 1))
+    bus.emit(Keyed("b", 2))
+    assert bus.emit(Keyed("c", 3)) == 0
+    assert seen == {"a": [1], "b": [2]}
+
+
+def test_keyed_handler_closed_mid_dispatch_is_skipped():
+    bus = HookBus()
+    seen = []
+    holder = []
+    bus.on(Keyed, lambda e: (seen.append("any"), holder[0].close()))
+    holder.append(bus.on(Keyed, lambda e: seen.append("a"), key="a"))
+    bus.on(Keyed, lambda e: seen.append("a-late"), key="a")
+    assert bus.emit(Keyed("a")) == 2
+    assert seen == ["any", "a-late"]
+    assert bus.subscriber_count(Keyed) == 2
+
+
+def test_keyed_handler_opened_mid_dispatch_misses_current_event():
+    bus = HookBus()
+    late = []
+
+    def subscribe_late(event):
+        bus.on(Keyed, lambda e: late.append(e.value), key="a")
+
+    sub = bus.on(Keyed, subscribe_late, key="a")
+    bus.emit(Keyed("a", 1))
+    assert late == []
+    sub.close()
+    bus.emit(Keyed("a", 2))
+    assert late == [2]
+
+
+def test_has_and_count_with_only_keyed_subscribers():
+    bus = HookBus()
+    assert not bus.has(Keyed)
+    first = bus.on(Keyed, lambda e: None, key="a")
+    second = bus.on(Keyed, lambda e: None, key="b")
+    assert bus.has(Keyed)
+    assert bus.subscriber_count(Keyed) == 2
+    assert bus.subscriber_count() == 2
+    first.close()
+    assert bus.has(Keyed) and bus.subscriber_count(Keyed) == 1
+    second.close()
+    assert not bus.has(Keyed)
+    assert bus.subscriber_count() == 0
+
+
+def test_key_on_a_type_without_hook_key_raises():
+    bus = HookBus()
+    with pytest.raises(TypeError):
+        bus.on(Ping, lambda e: None, key="a")
+    assert bus.subscriber_count() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_gtp_decap_encap_chain():
     assert len(dst.received) == 1
     out = dst.received[0]
     assert is_gtp(out)
-    assert out.find_header("GTP-U")["teid"] == 0x20
+    assert gtp_teid(out) == 0x20
 
 
 def test_remove_by_cookie():

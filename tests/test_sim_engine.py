@@ -126,6 +126,18 @@ def test_max_events_bound():
     assert seen == [0, 1, 2]
 
 
+def test_max_events_stop_leaves_clock_at_last_event():
+    """The clock parks at ``until`` only once nothing before it is left,
+    so it never runs backwards on the next run."""
+    sim = Simulator()
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, lambda: None)
+    sim.run(until=5.0, max_events=1)
+    assert sim.now == 1.0
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+
+
 class TestProcess:
     def test_process_sleeps_for_yielded_delay(self):
         sim = Simulator()

@@ -1,8 +1,8 @@
-"""Unit tests for the packet/header model."""
+"""Unit tests for the packet model and its tunnel (TEID) stack."""
 
 import pytest
 
-from repro.sim.packet import Header, Packet
+from repro.sim.packet import GTP_TUNNEL_OVERHEAD, Packet
 
 
 def make_packet(**kw):
@@ -18,46 +18,40 @@ def test_wire_size_is_payload_without_headers():
 
 def test_push_header_adds_to_wire_size():
     pkt = make_packet(size=1000)
-    pkt.push_header(Header("GTP-U", 8, {"teid": 0x10}))
-    pkt.push_header(Header("UDP", 8))
-    pkt.push_header(Header("IPv4", 20))
+    pkt.push_teid(0x10)
+    assert pkt.wire_size == 1036
+    pkt.push_teid(0x20)
+    assert pkt.wire_size == 1000 + 2 * GTP_TUNNEL_OVERHEAD == 1072
+    pkt.pop_teid()
     assert pkt.wire_size == 1036
 
 
 def test_pop_header_lifo_order():
     pkt = make_packet()
-    pkt.push_header(Header("GTP-U", 8))
-    pkt.push_header(Header("IPv4", 20))
-    assert pkt.pop_header().protocol == "IPv4"
-    assert pkt.pop_header().protocol == "GTP-U"
-
-
-def test_pop_header_protocol_mismatch_raises():
-    pkt = make_packet()
-    pkt.push_header(Header("GTP-U", 8))
-    with pytest.raises(ValueError):
-        pkt.pop_header("IPv4")
+    pkt.push_teid(1)
+    pkt.push_teid(2)
+    pkt.push_teid(3)
+    assert [pkt.pop_teid() for _ in range(3)] == [3, 2, 1]
+    assert pkt.wire_size == 1000
 
 
 def test_pop_empty_raises():
     with pytest.raises(ValueError):
-        make_packet().pop_header()
+        make_packet().pop_teid()
+    pkt = make_packet()
+    pkt.push_teid(7)
+    pkt.pop_teid()
+    with pytest.raises(ValueError):     # emptied stack: bare again
+        pkt.pop_teid()
 
 
 def test_outer_header():
     pkt = make_packet()
-    assert pkt.outer_header() is None
-    pkt.push_header(Header("GTP-U", 8))
-    assert pkt.outer_header().protocol == "GTP-U"
-
-
-def test_find_header_by_protocol():
-    pkt = make_packet()
-    pkt.push_header(Header("GTP-U", 8, {"teid": 7}))
-    pkt.push_header(Header("UDP", 8))
-    found = pkt.find_header("GTP-U")
-    assert found is not None and found["teid"] == 7
-    assert pkt.find_header("SCTP") is None
+    assert not pkt.teids
+    pkt.push_teid(0x10)
+    pkt.push_teid(0x20)
+    assert pkt.teids == [0x10, 0x20]    # innermost first
+    assert pkt.teids[-1] == 0x20
 
 
 def test_five_tuple():
@@ -67,22 +61,23 @@ def test_five_tuple():
 
 def test_copy_is_independent():
     pkt = make_packet()
-    pkt.push_header(Header("GTP-U", 8, {"teid": 1}))
+    pkt.push_teid(1)
     clone = pkt.copy()
     assert clone.packet_id != pkt.packet_id
-    clone.headers[0].fields["teid"] = 2
-    assert pkt.headers[0]["teid"] == 1
+    assert clone.teids == [1] and clone.wire_size == pkt.wire_size
+    clone.push_teid(2)
+    assert pkt.teids == [1]
+    assert pkt.pop_teid() == 1
+    assert clone.teids == [1, 2]
     clone.meta["x"] = 1
     assert "x" not in pkt.meta
+
+
+def test_copy_of_bare_packet_stays_bare():
+    clone = make_packet().copy()
+    assert not clone.teids and clone.wire_size == 1000
 
 
 def test_packet_ids_unique():
     ids = {make_packet().packet_id for _ in range(100)}
     assert len(ids) == 100
-
-
-def test_header_get_and_getitem():
-    header = Header("GTP-U", 8, {"teid": 42})
-    assert header["teid"] == 42
-    assert header.get("teid") == 42
-    assert header.get("missing", "d") == "d"
