@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint perfbench-selftest bench bench-matcher bench-resilience bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
+.PHONY: test lint perfbench-selftest bench bench-resilience bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -10,11 +10,12 @@ test:
 lint:   ## same gate as CI (needs ruff on PATH: pip install ruff)
 	ruff check src/ tests/ benchmarks/ tools/ examples/
 
-perfbench-selftest:   ## benchmark self-tests, every figure benchmark collects, one pinned traced pass per network workload
+perfbench-selftest:   ## benchmark self-tests, every figure benchmark collects, one pinned traced pass per workload
 	$(PYTHON) -m pytest perfbench -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks --collect-only -q
 	$(PYTHON) perfbench/run.py --workload relocation_walk --seconds 0 --trace 1
 	$(PYTHON) perfbench/run.py --workload attach_storm --seconds 0 --trace 1
+	$(PYTHON) perfbench/run.py --workload ar_session --seconds 0 --trace 1
 
 exp-smoke:   ## tiny 2-seed experiment spec end-to-end through the parallel runner
 	PYTHONPATH=src $(PYTHON) -m repro exp run smoke --workers 2
@@ -28,9 +29,6 @@ ops-soak-smoke:   ## compressed diurnal soak through the operator runtime: 0 dro
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
-
-bench-matcher:   ## engine comparison on the Fig 11a workload -> BENCH_matcher.json
-	PYTHONPATH=src $(PYTHON) tools/bench_matcher.py
 
 bench-resilience:   ## chaos sweep: control-plane success under signalling loss
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience_chaos.py --benchmark-only -q

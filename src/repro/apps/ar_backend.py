@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.config import MatcherConfig
 from repro.core.localization_manager import LocalizationManager
 from repro.core.optimizer import SearchSpace, SearchSpaceOptimizer
+from repro.vision.batch import BatchObjectMatcher
 from repro.vision.codec import CompressionModel, JPEG90
 from repro.vision.costmodel import DEVICES, DeviceProfile
 from repro.vision.database import ObjectDatabase
 from repro.vision.features import Frame
-from repro.vision.matcher import ObjectMatcher
 from repro.sim.node import Node
 from repro.sim.packet import Packet
 
@@ -57,30 +56,19 @@ class ARResponse:
 
 
 class ARBackend:
-    """Frame processing against a geo-tagged database.
-
-    The matching engine is selected by ``matcher_config`` (default: the
-    batched engine of :mod:`repro.vision.batch`, decision-equivalent to
-    the reference matcher); an explicit ``matcher`` instance overrides
-    the config.
-    """
+    """Frame processing against a geo-tagged database."""
 
     def __init__(self, db: ObjectDatabase, scenario: "StoreScenario",
                  localization: LocalizationManager,
                  device: DeviceProfile = DEVICES["i7-8core"],
                  codec: CompressionModel = JPEG90,
-                 matcher: Optional[ObjectMatcher] = None,
-                 matcher_config: Optional[MatcherConfig] = None,
                  acacia_radius: float = 3.5) -> None:
         self.db = db
         self.scenario = scenario
         self.localization = localization
         self.device = device
         self.codec = codec
-        if matcher is None:
-            matcher = (matcher_config if matcher_config is not None
-                       else MatcherConfig()).build()
-        self.matcher = matcher
+        self.matcher = BatchObjectMatcher()
         self.optimizer = SearchSpaceOptimizer(db, scenario,
                                               acacia_radius=acacia_radius)
         self.frames_processed = 0

@@ -25,8 +25,7 @@ from repro.apps.ar_frontend import ARFrontend, ARSession
 from repro.apps.retail import (RETAIL_SERVICE, RetailCustomerApp,
                                RetailStore, landmark_map_for)
 from repro.apps.scenario import StoreScenario
-from repro.core.config import (MatcherConfig, NetworkConfig,
-                               SignallingConfig, SimConfig)
+from repro.core.config import NetworkConfig, SignallingConfig, SimConfig
 from repro.core.device_manager import AcaciaDeviceManager
 from repro.core.localization_manager import LocalizationManager
 from repro.core.mrs import MecRegistrationServer
@@ -105,14 +104,11 @@ def build_deployment(kind: str, db: ObjectDatabase,
                      scenario: StoreScenario, seed: int = 0,
                      server_device: DeviceProfile = DEVICES["i7-8core"],
                      user_position: Optional[tuple[float, float]] = None,
-                     matcher_config: Optional[MatcherConfig] = None,
                      signalling_config: Optional[SignallingConfig] = None,
                      data_plane: str = "packet",
                      ) -> Deployment:
     """Build one of the three comparison deployments.
 
-    ``matcher_config`` selects the server's matching engine (default:
-    the batched engine; decision-equivalent to the reference);
     ``signalling_config`` parameterises the control-plane signalling
     fabric (default transports when omitted); ``data_plane`` selects
     the per-packet or fluid-background data plane
@@ -127,8 +123,7 @@ def build_deployment(kind: str, db: ObjectDatabase,
         radio, ctx.rng("localization.calibration"))
     landmark_map = landmark_map_for(scenario, regression)
     localization = LocalizationManager(landmark_map)
-    backend = ARBackend(db, scenario, localization, device=server_device,
-                        matcher_config=matcher_config)
+    backend = ARBackend(db, scenario, localization, device=server_device)
 
     if kind == "cloud":
         network = MobileNetwork(

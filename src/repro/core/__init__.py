@@ -7,7 +7,7 @@ Sections 5.3/5.4; the localization manager and the application optimiser
 implement the context-aware application optimisation of Section 5.5.
 """
 
-from repro.core.config import MatcherConfig, NetworkConfig
+from repro.core.config import NetworkConfig
 from repro.core.device_manager import AcaciaDeviceManager, ServiceInfo
 from repro.core.localization_manager import LocalizationManager
 from repro.core.mrs import MecRegistrationServer
@@ -20,7 +20,6 @@ __all__ = [
     "CIServerInstance",
     "CIService",
     "LocalizationManager",
-    "MatcherConfig",
     "MecRegistrationServer",
     "MobileNetwork",
     "NetworkConfig",

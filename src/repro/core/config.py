@@ -372,56 +372,6 @@ class SimConfig(ConfigMapping):
         return Simulator()
 
 
-#: Available object-matching engines (see :mod:`repro.vision.batch`).
-MATCH_ENGINES = ("batch", "reference")
-
-
-@dataclass
-class MatcherConfig(ConfigMapping):
-    """Selects and parameterises the AR back-end's matching engine.
-
-    ``engine="batch"`` (the default) builds the vectorized
-    :class:`~repro.vision.batch.BatchObjectMatcher` with an LRU
-    candidate-matrix cache; ``engine="reference"`` builds the
-    loop-based :class:`~repro.vision.matcher.ObjectMatcher`.  Both are
-    decision-equivalent for the same seed, so switching engines changes
-    wall-clock only, never results.
-    """
-
-    engine: str = "batch"
-    cache_capacity: int = 32
-    ratio_threshold: float = 0.75
-    ransac_iterations: int = 50
-    ransac_inlier_radius: float = 3.0
-    min_inliers: int = 8
-    seed: int = 1234
-
-    def build(self):
-        """Construct the configured matcher.
-
-        Imports lazily so the config layer stays importable without
-        pulling the vision stack in at module scope.
-        """
-        import numpy as np
-
-        from repro.vision.batch import (BatchObjectMatcher,
-                                        CandidateMatrixCache)
-        from repro.vision.matcher import ObjectMatcher
-
-        if self.engine not in MATCH_ENGINES:
-            raise ValueError(f"unknown matcher engine {self.engine!r}; "
-                             f"expected one of {MATCH_ENGINES}")
-        kwargs = dict(ratio_threshold=self.ratio_threshold,
-                      ransac_iterations=self.ransac_iterations,
-                      ransac_inlier_radius=self.ransac_inlier_radius,
-                      min_inliers=self.min_inliers,
-                      rng=np.random.default_rng(self.seed))
-        if self.engine == "reference":
-            return ObjectMatcher(**kwargs)
-        return BatchObjectMatcher(
-            cache=CandidateMatrixCache(self.cache_capacity), **kwargs)
-
-
 #: Which fields of which config class hold nested config objects --
 #: drives the recursive strict deserialisation in ``_fields_from``.
 NESTED_CONFIG_FIELDS: dict[type, dict[str, type]] = {

@@ -7,11 +7,10 @@ per-job service time is drawn from the site's own named RNG stream
 simulation's draws and two runs with the same seed serve identical
 latencies.
 
-Scaling follows the :class:`~repro.vision.pool.MatcherPool` lifecycle
-contract: growing takes effect immediately (idle capacity starts
-draining the queue in the same event), shrinking is graceful -- a
-retired worker finishes its in-flight job and simply is not refilled,
-the simulated analogue of ``MatcherPool.drain()`` before teardown.
+Growing a fleet takes effect immediately (idle capacity starts
+draining the queue in the same event).  Shrinking is graceful: a
+retired worker finishes its in-flight job and is simply not given
+another, so scaling down never cancels a match in flight.
 """
 
 from __future__ import annotations

@@ -16,15 +16,13 @@ two-fidelity substitution (documented in DESIGN.md):
 """
 
 from repro.vision.batch import (BatchObjectMatcher, CandidateMatrixCache,
-                                CandidateStack)
+                                CandidateStack, MatchOutcome)
 from repro.vision.camera import CameraModel, Resolution
 from repro.vision.codec import CompressionModel, JPEG90
 from repro.vision.costmodel import DEVICES, DeviceProfile
 from repro.vision.database import ObjectDatabase, ObjectRecord
 from repro.vision.features import (FeatureExtractor, Frame, ObjectModel,
                                    expected_feature_count)
-from repro.vision.matcher import MatchOutcome, ObjectMatcher
-from repro.vision.pool import MatcherPool
 
 __all__ = [
     "BatchObjectMatcher",
@@ -38,9 +36,7 @@ __all__ = [
     "Frame",
     "JPEG90",
     "MatchOutcome",
-    "MatcherPool",
     "ObjectDatabase",
-    "ObjectMatcher",
     "ObjectModel",
     "ObjectRecord",
     "Resolution",

@@ -1,13 +1,15 @@
-"""Batched object matching: one GEMM per frame over a stacked candidate set.
+"""The object-matching pipeline: kNN + ratio + symmetry + RANSAC.
 
-The reference :class:`~repro.vision.matcher.ObjectMatcher` loops over
-candidates in Python, re-running a small descriptor GEMM per
-frame/object pair and filtering with Python lists and sets.  That is
-the dominant real wall-clock cost of the benchmark suite, and it is
-exactly the loop the paper's evaluation hammers: the whole-floor Naive
-scheme matches every frame against all 105 objects (Figures 11-13).
+Implements the four accuracy stages of the paper's AR back-end
+(Section 6.3): (1) brute-force 2-nearest-neighbour matching with a
+ratio test, (2) a symmetry (mutual best match) test between the two
+directions, (3) RANSAC geometric verification returning inlier matches,
+(4) an inlier-count acceptance threshold.  These run for real on the
+synthetic descriptor sets, so false negatives/positives are measured,
+not assumed.
 
-This module restructures the pipeline around a certified screen:
+The stages run batched across the whole candidate set, around a
+certified screen:
 
 * all candidate descriptors are stacked into one ``(R_total, d)``
   matrix with per-object segment offsets, plus a float32 copy carrying
@@ -23,26 +25,24 @@ This module restructures the pipeline around a certified screen:
   error bound (the overwhelming majority) are rejected wholesale; the
   surviving lanes get an exact float32 2-NN from gathered rows, and
   only candidates that pass the forward gate -- or sit within the
-  error margin of it -- are recomputed with the reference matcher's
-  own float64 per-candidate arithmetic on the stacked slices;
-* all RANSAC iterations for the surviving pairs run as one broadcasted
-  distance computation per surviving object, drawing the translation
-  hypotheses in a single ``rng.integers(n, size=iterations)`` call
-  that consumes the *same* random stream as the reference matcher's
-  per-iteration draws.
+  error margin of it -- are finished in float64 per candidate on the
+  stacked slices;
+* all RANSAC iterations for a surviving pair run as one broadcasted
+  distance computation, drawing the translation hypotheses in a single
+  ``rng.integers(n, size=iterations)`` call that consumes the *same*
+  random stream as ``iterations`` sequential draws.
 
 A :class:`CandidateMatrixCache` (LRU, keyed by the sorted tuple of
 object names) lets repeated search spaces -- Naive reuses the same
 whole-floor set every frame; ACACIA sub-section sets repeat per
 checkpoint -- reuse their stacked matrix instead of re-concatenating.
 
-:class:`BatchObjectMatcher` is decision-equivalent to the reference
-matcher: for a shared RNG seed it produces the same accepted object and
-the same good/symmetric/inlier counts (enforced by the differential
-tests in ``tests/test_vision_batch.py``).  The screen only ever
-*rejects* lanes whose ratio test fails by more than the certified
-error bound; every decision that could be affected by float32 rounding
-is re-derived in float64 by the reference code path itself.
+The screen only ever *rejects* lanes whose ratio test fails by more
+than the certified error bound; every decision that float32 rounding
+could affect is re-derived in float64.  For a shared RNG seed the
+decisions therefore equal those of a plain per-candidate loop over the
+four stages, which ``tests/matcher_oracle.py`` keeps as the oracle of
+the differential tests in ``tests/test_vision_batch.py``.
 """
 
 from __future__ import annotations
@@ -55,14 +55,24 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.vision.features import Frame, ObjectModel
-from repro.vision.matcher import MatchOutcome, ObjectMatcher
+
+
+@dataclass
+class MatchOutcome:
+    """Result of matching one frame against one object."""
+
+    object_name: str
+    good_matches: int = 0
+    symmetric_matches: int = 0
+    inliers: int = 0
+    accepted: bool = False
+    stage_reached: str = "ratio"     # ratio -> symmetry -> ransac -> accept
+
 
 #: Sentinel for padded (out-of-segment) columns of the biased
 #: similarity matrix.  Biased similarities are ``dot + 1 in [0, 2]``;
 #: -1 is strictly below every real value, so padding never wins a max.
 _PAD_SENTINEL = np.float32(-1.0)
-
-_INT32_MIN = np.int32(np.iinfo(np.int32).min)
 
 
 @dataclass(frozen=True)
@@ -146,8 +156,7 @@ class CandidateMatrixCache:
     Entries are keyed by name only: object models are assumed immutable
     for the lifetime of a database, which holds for
     :class:`~repro.vision.database.ObjectDatabase` records.  The cache
-    is thread-safe so one instance can back a
-    :class:`~repro.vision.pool.MatcherPool`.
+    is thread-safe, so matchers on several threads can share one.
     """
 
     def __init__(self, capacity: int = 32) -> None:
@@ -218,31 +227,19 @@ class CandidateMatrixCache:
             }
 
 
-#: When to engage the float32 screen (see :class:`BatchObjectMatcher`).
-SCREEN_MODES = ("auto", "always", "never")
+class BatchObjectMatcher:
+    """Brute-force matcher with the paper's four verification stages.
 
-
-class BatchObjectMatcher(ObjectMatcher):
-    """Vectorized matcher, decision-equivalent to the reference.
-
-    Runs the same four verification stages as
-    :class:`~repro.vision.matcher.ObjectMatcher` but batched across the
-    whole candidate set: one float32 GEMM per frame screens out the
-    lanes whose ratio test provably fails, and only gate-passing (or
-    borderline) candidates are finished with the reference per-object
-    float64 arithmetic.  For a shared RNG seed it reproduces the
-    reference decisions exactly (same accepted object, same
-    good/symmetric/inlier counts and stages).
-
-    ``screen`` selects when the float32 screen engages: ``"auto"``
-    (default) uses it for candidate sets large enough to amortise the
-    setup, ``"always"`` forces it (useful in tests), ``"never"``
-    disables it, leaving the stacked exact per-candidate loop.
+    Batched across the whole candidate set: one float32 GEMM per frame
+    screens out the lanes whose ratio test provably fails, and only
+    gate-passing (or borderline) candidates are finished with exact
+    per-candidate float64 arithmetic.  Candidate sets too small to
+    amortise the screen (see :attr:`SCREEN_MIN_DESCRIPTORS` and
+    :attr:`SCREEN_MIN_QUERIES`) skip it and finish every candidate.
 
     Instances are not safe for concurrent use (the RNG stream and the
-    reused GEMM buffers are per-instance state); a
-    :class:`~repro.vision.pool.MatcherPool` gives each worker its own
-    matcher.
+    reused GEMM buffers are per-instance state): give each thread its
+    own matcher, optionally sharing one :class:`CandidateMatrixCache`.
     """
 
     #: Below these sizes the screen's fixed costs outweigh the GEMM win
@@ -263,17 +260,17 @@ class BatchObjectMatcher(ObjectMatcher):
                  ransac_inlier_radius: float = 3.0,
                  min_inliers: int = 8,
                  rng: Optional[np.random.Generator] = None,
-                 cache: Optional[CandidateMatrixCache] = None,
-                 screen: str = "auto") -> None:
-        super().__init__(ratio_threshold=ratio_threshold,
-                         ransac_iterations=ransac_iterations,
-                         ransac_inlier_radius=ransac_inlier_radius,
-                         min_inliers=min_inliers, rng=rng)
-        if screen not in SCREEN_MODES:
-            raise ValueError(f"unknown screen mode {screen!r}; "
-                             f"expected one of {SCREEN_MODES}")
+                 cache: Optional[CandidateMatrixCache] = None) -> None:
+        if not (0 < ratio_threshold < 1):
+            raise ValueError("ratio threshold must be in (0, 1)")
+        if ransac_iterations < 1:
+            raise ValueError("RANSAC needs at least one iteration")
+        self.ratio_threshold = ratio_threshold
+        self.ransac_iterations = ransac_iterations
+        self.ransac_inlier_radius = ransac_inlier_radius
+        self.min_inliers = min_inliers
+        self.rng = rng if rng is not None else np.random.default_rng(1234)
         self.cache = cache if cache is not None else CandidateMatrixCache()
-        self.screen = screen
         self._sim_buffers: dict[tuple[int, int], np.ndarray] = {}
         self._frame_buffers: dict[tuple[int, int], np.ndarray] = {}
         self._aranges: dict[int, np.ndarray] = {}
@@ -313,7 +310,7 @@ class BatchObjectMatcher(ObjectMatcher):
 
         Draws the hypothesis indices with one ``integers(n, size=k)``
         call, which consumes the identical PCG64 stream as ``k``
-        sequential ``integers(n)`` draws in the reference loop.
+        sequential ``integers(n)`` draws, one per iteration.
         """
         n = offsets.shape[0]
         if n < 2:
@@ -322,27 +319,12 @@ class BatchObjectMatcher(ObjectMatcher):
         hypotheses = offsets[picks]                       # (iters, 2)
         # inlined ||offsets - hypothesis||: same multiply/pairwise-add/
         # sqrt sequence as np.linalg.norm(..., axis=2), so bit-identical
-        # to the reference loop, without the linalg wrapper overhead
+        # to a per-iteration norm, without the linalg wrapper overhead
         dx = offsets[:, 0] - hypotheses[:, 0, None]       # (iters, n)
         dy = offsets[:, 1] - hypotheses[:, 1, None]
         errors = np.sqrt(dx * dx + dy * dy)
         inlier_counts = (errors < self.ransac_inlier_radius).sum(axis=1)
         return int(inlier_counts.max())
-
-    def _ransac_translation(self, frame_kp: np.ndarray,
-                            object_kp: np.ndarray,
-                            pairs: list[tuple[int, int]]) -> int:
-        """Broadcasted drop-in for the reference's per-iteration loop.
-
-        Same inlier counts, same RNG stream consumption, so
-        :meth:`~repro.vision.matcher.ObjectMatcher._match_arrays` stays
-        decision-equivalent when run by this engine.
-        """
-        if len(pairs) < 2:
-            return 0
-        pair_idx = np.asarray(pairs, dtype=np.intp)
-        offsets = frame_kp[pair_idx[:, 0]] - object_kp[pair_idx[:, 1]]
-        return self._ransac_offsets(offsets)
 
     def _arange(self, n: int) -> np.ndarray:
         """Cached ``np.arange(n)`` for the small per-candidate shapes."""
@@ -441,41 +423,43 @@ class BatchObjectMatcher(ObjectMatcher):
         margin = (2.0 - v1) - self.ratio_threshold * (2.0 - v2)
         return rows, segs, margin
 
-    def _screen_stack(self, frame: Frame, stack: CandidateStack
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Certified float32 screen of one frame, per-candidate verdicts.
+    def _screen_verdicts(self, queries: np.ndarray, stack: CandidateStack,
+                         frame_ends: Optional[np.ndarray] = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """Certified float32 screen, per-(frame, candidate) verdicts.
 
-        Returns ``(good_counts, needs_exact)`` per canonical candidate:
-        ``good_counts[k]`` is the exact forward ratio-test match count
-        for every candidate with ``needs_exact[k]`` False; candidates
-        flagged ``needs_exact`` (forward gate passed, or any lane
-        within the certified error margin) must be recomputed with the
-        float64 reference arithmetic.
+        ``queries`` holds one frame's descriptors, or the stacked
+        descriptors of several frames whose row blocks end at
+        ``frame_ends`` (cumulative row counts).  Returns
+        ``(good_counts, needs_exact)``, both ``(n_frames, n_candidates)``
+        over canonical positions: ``good_counts[f, k]`` is the exact
+        forward ratio-test match count wherever ``needs_exact[f, k]`` is
+        False; flagged pairs (forward gate passed, or any lane within
+        the certified error margin) must be finished in float64.
         """
         n = len(stack.names)
-        rows, segs, margin = self._screen_rows(frame.descriptors, stack)
-        uncertain_seg = np.zeros(n, dtype=bool)
-        if rows.size:
-            good_counts = np.bincount(segs[margin < 0.0], minlength=n)
-            tau = (1.0 + self.ratio_threshold) * self.SCREEN_EPSILON
-            unsure = np.abs(margin) < tau
-            if unsure.any():
-                uncertain_seg[segs[unsure]] = True
+        rows, segs, margin = self._screen_rows(queries, stack)
+        if frame_ends is None:
+            n_frames, lanes = 1, segs
         else:
-            good_counts = np.zeros(n, dtype=np.intp)
-        needs_exact = (good_counts >= self.min_inliers) | uncertain_seg
-        return good_counts, needs_exact
+            n_frames = len(frame_ends)
+            lanes = np.searchsorted(frame_ends, rows, side="right") * n + segs
+        good = np.bincount(lanes[margin < 0.0], minlength=n_frames * n)
+        needs_exact = good >= self.min_inliers
+        tau = (1.0 + self.ratio_threshold) * self.SCREEN_EPSILON
+        needs_exact[lanes[np.abs(margin) < tau]] = True
+        return good.reshape(n_frames, n), needs_exact.reshape(n_frames, n)
 
     def _finish_candidate(self, frame: Frame, stack: CandidateStack,
                           position: int, name: str) -> MatchOutcome:
         """Float64 pipeline for one candidate's stacked slice.
 
-        Decision-equivalent vectorization of
-        :meth:`~repro.vision.matcher.ObjectMatcher._match_arrays`: one
-        small GEMM serves both match directions, and the 2-NN comes
-        from argmin + masked-min instead of argpartition, with the
-        reference's exact comparison arithmetic (``d1 < ratio * d2`` on
-        ``d = 1 - similarity``).
+        One small GEMM serves both match directions; the 2-NN comes
+        from argmin + masked-min, and the ratio test compares
+        ``d1 < ratio * d2`` on ``d = 1 - similarity``.  Candidates with
+        fewer than two descriptors have no second neighbour, so the
+        ratio test cannot establish distinctiveness and they are
+        rejected outright (the lone-candidate policy).
         """
         start = int(stack.starts[position])
         size = int(stack.sizes[position])
@@ -526,13 +510,9 @@ class BatchObjectMatcher(ObjectMatcher):
             outcome.stage_reached = "accept"
         return outcome
 
-    def _use_screen(self, frame: Frame, stack: CandidateStack) -> bool:
-        if self.screen == "never":
-            return False
-        if self.screen == "always":
-            return True
+    def _use_screen(self, queries: int, stack: CandidateStack) -> bool:
         return (stack.total_descriptors >= self.SCREEN_MIN_DESCRIPTORS
-                and frame.descriptors.shape[0] >= self.SCREEN_MIN_QUERIES)
+                and queries >= self.SCREEN_MIN_QUERIES)
 
     def _scan_stack(self, frame: Frame, stack: CandidateStack,
                     names: tuple[str, ...], positions: np.ndarray,
@@ -540,7 +520,7 @@ class BatchObjectMatcher(ObjectMatcher):
         """Yield per-candidate results in caller order.
 
         Caller order fixes both the RANSAC RNG consumption order and
-        the tie-break order, matching the reference loop exactly.  With
+        the tie-break order, as in a plain loop over the candidates.  With
         ``want_all=False`` (the :meth:`match_frame` fast path), only
         candidates surviving the screen are finished and yielded --
         screen-rejected candidates can never be accepted.
@@ -556,13 +536,15 @@ class BatchObjectMatcher(ObjectMatcher):
                     yield MatchOutcome(object_name=name)
             return
 
-        if not self._use_screen(frame, stack):
+        if not self._use_screen(q, stack):
             for j, name in enumerate(names):
                 yield self._finish_candidate(frame, stack,
                                              int(positions[j]), name)
             return
 
-        good_counts, needs_exact = self._screen_stack(frame, stack)
+        good_counts, needs_exact = self._screen_verdicts(frame.descriptors,
+                                                         stack)
+        good_counts, needs_exact = good_counts[0], needs_exact[0]
         if want_all:
             for j, name in enumerate(names):
                 k = int(positions[j])
@@ -631,27 +613,12 @@ class BatchObjectMatcher(ObjectMatcher):
                           dtype=np.intp)
         if (stack.total_descriptors == 0 or max_r < 2
                 or int(counts.sum()) == 0
-                or not self._use_screen(frames[int(counts.argmax())],
-                                        stack)):
+                or not self._use_screen(int(counts.max()), stack)):
             return [self.match_frame(f, models) for f in frames]
 
-        n = len(stack.names)
-        n_frames = len(frames)
-        row_starts = np.concatenate([[0], np.cumsum(counts)])
         block = np.concatenate([f.descriptors for f in frames], axis=0)
-        rows, segs, margin = self._screen_rows(block, stack)
-
-        needs_exact = np.zeros((n_frames, n), dtype=bool)
-        if rows.size:
-            frame_id = np.searchsorted(row_starts, rows, side="right") - 1
-            flat = frame_id * n + segs
-            good = np.bincount(flat[margin < 0.0],
-                               minlength=n_frames * n).reshape(n_frames, n)
-            needs_exact = good >= self.min_inliers
-            tau = (1.0 + self.ratio_threshold) * self.SCREEN_EPSILON
-            unsure = np.abs(margin) < tau
-            if unsure.any():
-                needs_exact[frame_id[unsure], segs[unsure]] = True
+        _, needs_exact = self._screen_verdicts(block, stack,
+                                               np.cumsum(counts))
 
         results: list[Optional[MatchOutcome]] = []
         for fi, frame in enumerate(frames):

@@ -1,44 +1,20 @@
-"""The object-matching pipeline: kNN + ratio + symmetry + RANSAC.
+"""Loop matcher: the differential-test oracle for BatchObjectMatcher.
 
-Implements the four accuracy stages of the paper's AR back-end
-(Section 6.3): (1) brute-force 2-nearest-neighbour matching with a
-ratio test, (2) a symmetry (mutual best match) test between the two
-directions, (3) RANSAC geometric verification returning inlier matches,
-(4) an inlier-count acceptance threshold.  These run for real on the
-synthetic descriptor sets, so false negatives/positives are measured,
-not assumed.
+A plain per-candidate implementation of the four matching stages
+(2-NN ratio test, symmetry test, RANSAC translation, inlier
+threshold), written for clarity rather than speed.  The shipped
+:class:`~repro.vision.batch.BatchObjectMatcher` must reproduce its
+full :class:`~repro.vision.batch.MatchOutcome` for a shared RNG seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.vision.batch import MatchOutcome
 from repro.vision.features import Frame, ObjectModel
-
-
-@dataclass
-class MatchOutcome:
-    """Result of matching one frame against one object."""
-
-    object_name: str
-    good_matches: int = 0
-    symmetric_matches: int = 0
-    inliers: int = 0
-    accepted: bool = False
-    stage_reached: str = "ratio"     # ratio -> symmetry -> ransac -> accept
-
-
-#: Policy for candidate sets with fewer than two reference descriptors:
-#: the ratio test needs a second nearest neighbour to establish
-#: distinctiveness, and with none available it would vacuously pass
-#: every query (``d1 < ratio * inf``).  Both engines therefore REJECT
-#: all matches against lone-descriptor (or empty) candidates.  Shared
-#: by :class:`ObjectMatcher` and
-#: :class:`~repro.vision.batch.BatchObjectMatcher`.
-LONE_CANDIDATE_POLICY = "reject"
 
 
 def _knn2(queries: np.ndarray, references: np.ndarray
@@ -71,15 +47,11 @@ class ObjectMatcher:
                  ransac_inlier_radius: float = 3.0,
                  min_inliers: int = 8,
                  rng: Optional[np.random.Generator] = None) -> None:
-        if not (0 < ratio_threshold < 1):
-            raise ValueError("ratio threshold must be in (0, 1)")
         self.ratio_threshold = ratio_threshold
         self.ransac_iterations = ransac_iterations
         self.ransac_inlier_radius = ransac_inlier_radius
         self.min_inliers = min_inliers
         self.rng = rng if rng is not None else np.random.default_rng(1234)
-
-    # -- stages ------------------------------------------------------------
 
     def _ratio_matches(self, a_desc: np.ndarray, b_desc: np.ndarray
                        ) -> list[tuple[int, int]]:
@@ -112,40 +84,27 @@ class ObjectMatcher:
             best_inliers = max(best_inliers, inliers)
         return best_inliers
 
-    # -- public API -----------------------------------------------------------
-
-    def _match_arrays(self, frame: Frame, name: str,
-                      descriptors: np.ndarray,
-                      keypoints: np.ndarray) -> MatchOutcome:
-        """Full pipeline for one candidate given its raw arrays.
-
-        Factored out of :meth:`match_one` so the batched engine can run
-        the identical per-candidate arithmetic on stacked slices.
-        """
-        outcome = MatchOutcome(object_name=name)
-        forward = self._ratio_matches(frame.descriptors, descriptors)
+    def match_one(self, frame: Frame, obj: ObjectModel) -> MatchOutcome:
+        """Run the full pipeline for one frame/object pair."""
+        outcome = MatchOutcome(object_name=obj.name)
+        forward = self._ratio_matches(frame.descriptors, obj.descriptors)
         outcome.good_matches = len(forward)
         if len(forward) < self.min_inliers:
             return outcome
         outcome.stage_reached = "symmetry"
-        backward = self._ratio_matches(descriptors, frame.descriptors)
+        backward = self._ratio_matches(obj.descriptors, frame.descriptors)
         symmetric = self._symmetry_filter(forward, backward)
         outcome.symmetric_matches = len(symmetric)
         if len(symmetric) < self.min_inliers:
             return outcome
         outcome.stage_reached = "ransac"
-        inliers = self._ransac_translation(frame.keypoints, keypoints,
+        inliers = self._ransac_translation(frame.keypoints, obj.keypoints,
                                            symmetric)
         outcome.inliers = inliers
         if inliers >= self.min_inliers:
             outcome.accepted = True
             outcome.stage_reached = "accept"
         return outcome
-
-    def match_one(self, frame: Frame, obj: ObjectModel) -> MatchOutcome:
-        """Run the full pipeline for one frame/object pair."""
-        return self._match_arrays(frame, obj.name, obj.descriptors,
-                                  obj.keypoints)
 
     def match_frame(self, frame: Frame, candidates: Iterable[ObjectModel]
                     ) -> Optional[MatchOutcome]:
@@ -157,32 +116,3 @@ class ObjectMatcher:
                                      or outcome.inliers > best.inliers):
                 best = outcome
         return best
-
-
-@dataclass
-class MatchStats:
-    """Aggregate accuracy bookkeeping across an experiment."""
-
-    true_positives: int = 0
-    false_positives: int = 0
-    false_negatives: int = 0
-    true_negatives: int = 0
-    details: list[tuple[Optional[str], Optional[str]]] = field(
-        default_factory=list)
-
-    def record(self, truth: Optional[str], matched: Optional[str]) -> None:
-        self.details.append((truth, matched))
-        if truth is None and matched is None:
-            self.true_negatives += 1
-        elif truth is None:
-            self.false_positives += 1
-        elif matched is None:
-            self.false_negatives += 1
-        elif matched == truth:
-            self.true_positives += 1
-        else:
-            self.false_positives += 1
-
-    @property
-    def total(self) -> int:
-        return len(self.details)

@@ -25,7 +25,7 @@ def test_generator_covers_all_packages(api_text):
 def test_key_classes_documented(api_text):
     for name in ("MobileNetwork", "AcaciaDeviceManager",
                  "MecRegistrationServer", "FlowSwitch", "LteDirectModem",
-                 "ObjectMatcher", "LocationTracker", "TcpSource",
+                 "BatchObjectMatcher", "LocationTracker", "TcpSource",
                  "EPCControlPlane"):
         assert f"class `{name}" in api_text
 

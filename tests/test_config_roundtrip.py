@@ -9,14 +9,14 @@ fields, and data-plane profiles collapse to their registry names.
 import pytest
 
 from repro.core.config import (ConfigError, ContinuityConfig,
-                               DATA_PLANE_PROFILES, MatcherConfig,
-                               NetworkConfig, ResilienceConfig,
-                               SignallingConfig, SimConfig)
+                               DATA_PLANE_PROFILES, NetworkConfig,
+                               ResilienceConfig, SignallingConfig,
+                               SimConfig)
 from repro.sdn.dataplane import ACACIA_OVS_PROFILE, DataPlaneProfile
 
 
 CONFIG_CLASSES = [NetworkConfig, SignallingConfig, ResilienceConfig,
-                  ContinuityConfig, SimConfig, MatcherConfig]
+                  ContinuityConfig, SimConfig]
 
 
 @pytest.mark.parametrize("cls", CONFIG_CLASSES,

@@ -1,11 +1,14 @@
-"""Differential tests: BatchObjectMatcher vs the reference ObjectMatcher.
+"""Differential tests: BatchObjectMatcher vs the loop-matcher oracle.
 
-The batched engine's contract is decision equivalence: for a shared RNG
-seed it must reproduce the reference matcher's full MatchOutcome --
-same good/symmetric/inlier counts, same acceptance, same stage -- for
-every candidate, under every screen mode.  These tests sweep random
-frames, candidate subsets and feature counts to enforce that, plus the
-CandidateMatrixCache and the edge-case policies both engines share.
+The shipped matcher's contract is decision equivalence with a plain
+per-candidate loop over the four matching stages
+(``tests/matcher_oracle.py``): for a shared RNG seed it must reproduce
+the oracle's full MatchOutcome -- same good/symmetric/inlier counts,
+same acceptance, same stage -- for every candidate, on both sides of
+the size-based choice between the float32 screen and the exact stacked
+loop.  These tests sweep random frames, candidate subsets and feature
+counts to enforce that, plus the CandidateMatrixCache and the
+edge-case policies.
 """
 
 import numpy as np
@@ -13,11 +16,26 @@ import pytest
 
 from repro.apps.retail import build_retail_database
 from repro.apps.scenario import store_scenario
-from repro.vision.batch import (SCREEN_MODES, BatchObjectMatcher,
-                                CandidateMatrixCache, CandidateStack)
+from repro.vision.batch import (BatchObjectMatcher, CandidateMatrixCache,
+                                CandidateStack)
 from repro.vision.camera import R480x360, R720x480, R960x720
 from repro.vision.features import FeatureExtractor, ObjectModel
-from repro.vision.matcher import ObjectMatcher
+from tests.matcher_oracle import ObjectMatcher
+
+#: Which side of the screen choice a parametrised test runs on:
+#: ``auto`` keeps the matcher's size thresholds, ``always`` zeroes
+#: them (every input is screened), ``never`` makes them unreachable
+#: (every candidate runs the exact stacked loop).
+SCREEN_SIDES = {"auto": None, "always": 0, "never": 10 ** 9}
+
+
+def batch_matcher(screen="auto", **kwargs):
+    matcher = BatchObjectMatcher(**kwargs)
+    threshold = SCREEN_SIDES[screen]
+    if threshold is not None:
+        matcher.SCREEN_MIN_DESCRIPTORS = threshold
+        matcher.SCREEN_MIN_QUERIES = threshold
+    return matcher
 
 
 def outcome_tuple(outcome):
@@ -48,7 +66,7 @@ def store():
 
 
 class TestDifferentialEquivalence:
-    @pytest.mark.parametrize("screen", SCREEN_MODES)
+    @pytest.mark.parametrize("screen", SCREEN_SIDES)
     def test_match_all_equals_reference_on_store(self, store, screen):
         extractor = FeatureExtractor(np.random.default_rng(7))
         rng = np.random.default_rng(21)
@@ -62,47 +80,83 @@ class TestDifferentialEquivalence:
 
             seed = 1000 + trial
             reference = ObjectMatcher(rng=np.random.default_rng(seed))
-            batch = BatchObjectMatcher(rng=np.random.default_rng(seed),
-                                       screen=screen)
-            expected = [reference._match_arrays(frame, m.name,
-                                                m.descriptors, m.keypoints)
-                        for m in subset]
+            batch = batch_matcher(screen, rng=np.random.default_rng(seed))
+            expected = [reference.match_one(frame, m) for m in subset]
             actual = batch.match_all(frame, subset)
             assert ([outcome_tuple(o) for o in actual]
                     == [outcome_tuple(o) for o in expected])
 
-    @pytest.mark.parametrize("screen", SCREEN_MODES)
+    @pytest.mark.parametrize("screen", SCREEN_SIDES)
     def test_match_frame_equals_reference(self, store, screen):
         extractor = FeatureExtractor(np.random.default_rng(3))
         frame = extractor.frame_of(store[17], R960x720)
         reference = ObjectMatcher(rng=np.random.default_rng(5))
-        batch = BatchObjectMatcher(rng=np.random.default_rng(5),
-                                   screen=screen)
+        batch = batch_matcher(screen, rng=np.random.default_rng(5))
         assert (outcome_tuple(batch.match_frame(frame, store))
                 == outcome_tuple(reference.match_frame(frame, store)))
 
-    @pytest.mark.parametrize("screen", SCREEN_MODES)
+    @pytest.mark.parametrize("screen", SCREEN_SIDES)
     def test_match_frames_block_equals_sequential_reference(self, store,
                                                             screen):
         extractor = FeatureExtractor(np.random.default_rng(11))
         frames = [extractor.frame_of(store[i], R720x480)
                   for i in (4, 30, 77)]
         reference = ObjectMatcher(rng=np.random.default_rng(9))
-        batch = BatchObjectMatcher(rng=np.random.default_rng(9),
-                                   screen=screen)
+        batch = batch_matcher(screen, rng=np.random.default_rng(9))
         expected = [reference.match_frame(frame, store) for frame in frames]
         actual = batch.match_frames(frames, store)
         assert ([outcome_tuple(o) for o in actual]
                 == [outcome_tuple(o) for o in expected])
 
+    def test_block_verdicts_equal_per_frame_verdicts(self, store):
+        # match_frames screens a block of frames at once; its verdicts
+        # must be the per-frame verdicts stacked, frame boundaries
+        # included (frames of different sizes, one of them empty)
+        extractor = FeatureExtractor(np.random.default_rng(12))
+        frames = [extractor.frame_of(store[i], resolution)
+                  for i, resolution in ((3, R960x720), (40, R480x360),
+                                        (41, R720x480))]
+        queries = [frame.descriptors for frame in frames]
+        queries.insert(1, queries[0][:0])
+        stack = CandidateStack.build(store)
+        batch = BatchObjectMatcher()
+        good, needs_exact = batch._screen_verdicts(
+            np.concatenate(queries), stack,
+            np.cumsum([len(q) for q in queries]))
+        for f, rows in enumerate(queries):
+            if not len(rows):
+                assert not good[f].any()
+                continue
+            one_good, one_exact = batch._screen_verdicts(rows, stack)
+            np.testing.assert_array_equal(good[f], one_good[0])
+            np.testing.assert_array_equal(needs_exact[f], one_exact[0])
+        assert needs_exact.any()
+
+    @pytest.mark.parametrize("screen, screened",
+                             [("always", True), ("never", False)])
+    def test_forced_side_is_taken(self, store, screen, screened):
+        # the parametrised tests above only cover both sides if forcing
+        # the thresholds really switches the path, even on a small set
+        batch = batch_matcher(screen)
+        calls = []
+        screen_rows = batch._screen_rows
+        batch._screen_rows = lambda *args: calls.append(1) or screen_rows(
+            *args)
+        frame = FeatureExtractor(np.random.default_rng(1)).frame_of(
+            store[0], R480x360)
+        batch.match_frame(frame, store[:3])
+        batch.match_frames([frame, frame], store[:3])
+        assert len(calls) == (2 if screened else 0)
+
     def test_match_one_equals_reference(self, store):
         extractor = FeatureExtractor(np.random.default_rng(2))
         frame = extractor.frame_of(store[9], R480x360)
-        reference = ObjectMatcher(rng=np.random.default_rng(13))
-        batch = BatchObjectMatcher(rng=np.random.default_rng(13))
-        for obj in (store[9], store[10]):
-            assert (outcome_tuple(batch.match_one(frame, obj))
-                    == outcome_tuple(reference.match_one(frame, obj)))
+        for screen in SCREEN_SIDES:
+            reference = ObjectMatcher(rng=np.random.default_rng(13))
+            batch = batch_matcher(screen, rng=np.random.default_rng(13))
+            for obj in (store[9], store[10]):
+                assert (outcome_tuple(batch.match_one(frame, obj))
+                        == outcome_tuple(reference.match_one(frame, obj)))
 
     def test_candidate_order_controls_rng_stream(self, store):
         # permuting the candidate list must give the same decisions the
@@ -110,13 +164,13 @@ class TestDifferentialEquivalence:
         extractor = FeatureExtractor(np.random.default_rng(4))
         frame = extractor.frame_of(store[50], R960x720)
         permuted = list(reversed(store))
-        reference = ObjectMatcher(rng=np.random.default_rng(17))
-        batch = BatchObjectMatcher(rng=np.random.default_rng(17))
-        expected = [reference._match_arrays(frame, m.name, m.descriptors,
-                                            m.keypoints) for m in permuted]
-        actual = batch.match_all(frame, permuted)
-        assert ([outcome_tuple(o) for o in actual]
-                == [outcome_tuple(o) for o in expected])
+        for screen in SCREEN_SIDES:
+            reference = ObjectMatcher(rng=np.random.default_rng(17))
+            batch = batch_matcher(screen, rng=np.random.default_rng(17))
+            expected = [reference.match_one(frame, m) for m in permuted]
+            actual = batch.match_all(frame, permuted)
+            assert ([outcome_tuple(o) for o in actual]
+                    == [outcome_tuple(o) for o in expected])
 
 
 class TestEdgeCases:
@@ -124,13 +178,14 @@ class TestEdgeCases:
         extractor = FeatureExtractor(np.random.default_rng(0))
         models = random_models(np.random.default_rng(1), 1)
         frame = extractor.frame_of(models[0], R480x360)
-        batch = BatchObjectMatcher()
-        assert batch.match_all(frame, []) == []
-        assert batch.match_frame(frame, []) is None
-        assert batch.match_frames([frame], []) == [None]
-        assert batch.match_frames([], models) == []
+        for screen in SCREEN_SIDES:
+            batch = batch_matcher(screen)
+            assert batch.match_all(frame, []) == []
+            assert batch.match_frame(frame, []) is None
+            assert batch.match_frames([frame], []) == [None]
+            assert batch.match_frames([], models) == []
 
-    @pytest.mark.parametrize("screen", SCREEN_MODES)
+    @pytest.mark.parametrize("screen", SCREEN_SIDES)
     def test_lone_descriptor_candidate_rejected_by_both(self, screen):
         rng = np.random.default_rng(8)
         models = random_models(rng, 3)
@@ -141,14 +196,38 @@ class TestEdgeCases:
         frame = extractor.frame_of(models[0], R480x360)
         candidates = [lone] + models
         reference = ObjectMatcher(rng=np.random.default_rng(3))
-        batch = BatchObjectMatcher(rng=np.random.default_rng(3),
-                                   screen=screen)
+        batch = batch_matcher(screen, rng=np.random.default_rng(3))
         expected = [reference.match_one(frame, m) for m in candidates]
         actual = batch.match_all(frame, candidates)
         assert ([outcome_tuple(o) for o in actual]
                 == [outcome_tuple(o) for o in expected])
         assert actual[0].good_matches == 0
         assert not actual[0].accepted
+
+    def test_match_frames_equals_match_frame_when_no_lane_survives(self):
+        # each candidate holds its descriptors twice, one copy per half
+        # segment, so d1 == d2 and the screen rejects every lane; with
+        # min_inliers=0 the candidates still pass the gates, and a
+        # block must finish them just as the per-frame path does
+        models = [ObjectModel(name=m.name,
+                              descriptors=np.concatenate([m.descriptors] * 2),
+                              keypoints=np.concatenate([m.keypoints] * 2),
+                              seed=m.seed)
+                  for m in random_models(np.random.default_rng(9), 12)]
+        extractor = FeatureExtractor(np.random.default_rng(10))
+        frames = [extractor.frame_of(models[i], R480x360) for i in (0, 5)]
+        block = batch_matcher("always", min_inliers=0,
+                              rng=np.random.default_rng(4))
+        single = batch_matcher("always", min_inliers=0,
+                               rng=np.random.default_rng(4))
+        queries = np.concatenate([frame.descriptors for frame in frames])
+        rows, _, _ = block._screen_rows(queries,
+                                        CandidateStack.build(models))
+        assert rows.size == 0
+        expected = [single.match_frame(frame, models) for frame in frames]
+        assert all(outcome is not None for outcome in expected)
+        assert ([outcome_tuple(o) for o in block.match_frames(frames, models)]
+                == [outcome_tuple(o) for o in expected])
 
     def test_all_lone_candidates_never_match(self):
         rng = np.random.default_rng(5)
@@ -159,12 +238,15 @@ class TestEdgeCases:
                  for i, m in enumerate(base)]
         extractor = FeatureExtractor(np.random.default_rng(6))
         frame = extractor.frame_of(base[0], R480x360)
-        batch = BatchObjectMatcher()
-        assert batch.match_frame(frame, lones) is None
-        for outcome in batch.match_all(frame, lones):
-            assert outcome_tuple(outcome)[1:] == (0, 0, 0, False, "ratio")
+        for screen in SCREEN_SIDES:
+            batch = batch_matcher(screen)
+            assert batch.match_frame(frame, lones) is None
+            assert batch.match_frames([frame, frame], lones) == [None, None]
+            for outcome in batch.match_all(frame, lones):
+                assert (outcome_tuple(outcome)[1:]
+                        == (0, 0, 0, False, "ratio"))
 
-    @pytest.mark.parametrize("screen", SCREEN_MODES)
+    @pytest.mark.parametrize("screen", SCREEN_SIDES)
     def test_single_query_frame(self, screen):
         # q == 1: forward stage can run, backward 2-NN cannot
         models = random_models(np.random.default_rng(12), 4)
@@ -177,8 +259,8 @@ class TestEdgeCases:
             true_object=frame_like.true_object)
         reference = ObjectMatcher(rng=np.random.default_rng(3),
                                   min_inliers=1)
-        batch = BatchObjectMatcher(rng=np.random.default_rng(3),
-                                   min_inliers=1, screen=screen)
+        batch = batch_matcher(screen, rng=np.random.default_rng(3),
+                              min_inliers=1)
         expected = [reference.match_one(single, m) for m in models]
         actual = batch.match_all(single, models)
         assert ([outcome_tuple(o) for o in actual]
@@ -191,10 +273,6 @@ class TestEdgeCases:
                            keypoints=models[1].keypoints, seed=1)
         with pytest.raises(ValueError, match="duplicate"):
             CandidateStack.build([models[0], twin])
-
-    def test_unknown_screen_mode_rejected(self):
-        with pytest.raises(ValueError, match="screen mode"):
-            BatchObjectMatcher(screen="sometimes")
 
 
 class TestCandidateMatrixCache:
