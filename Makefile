@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint perfbench-selftest bench bench-resilience bench-scale bench-scale-smoke bench-continuity bench-continuity-smoke examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
+.PHONY: test lint perfbench-selftest bench bench-resilience examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -32,18 +32,6 @@ bench:
 
 bench-resilience:   ## chaos sweep: control-plane success under signalling loss
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience_chaos.py --benchmark-only -q
-
-bench-scale:   ## fluid vs packet data plane + 100k-UE scenario -> BENCH_scale.json
-	PYTHONPATH=src $(PYTHON) tools/bench_scale.py
-
-bench-scale-smoke:   ## quick fluid-plane gates, no committed output
-	PYTHONPATH=src $(PYTHON) tools/bench_scale.py --smoke --out /tmp/BENCH_scale_smoke.json
-
-bench-continuity:   ## relocation policies across the edge fabric -> BENCH_continuity.json
-	PYTHONPATH=src $(PYTHON) tools/bench_continuity.py
-
-bench-continuity-smoke:   ## quick continuity + determinism gates, no committed output
-	PYTHONPATH=src $(PYTHON) tools/bench_continuity.py --smoke --out /tmp/BENCH_continuity_smoke.json
 
 quick:   ## tests + the sub-second benchmarks only
 	$(PYTHON) -m pytest tests/ -q

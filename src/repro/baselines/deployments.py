@@ -222,11 +222,7 @@ def fabric_topology(n_sites: int = 3, enbs_per_site: int = 2,
             "cell_spacing": cell_spacing}
 
 
-def build_topology(topology, *, seed: int = 0,
-                   config: Optional[NetworkConfig] = None,
-                   continuity=None,
-                   signalling_config: Optional[SignallingConfig] = None,
-                   data_plane: str = "packet") -> EdgeFabric:
+def build_topology(topology, *, config: NetworkConfig) -> EdgeFabric:
     """Interpret a scenario-document ``topology`` section into a fabric.
 
     ``topology`` is a plain mapping (``sites``, ``enbs_per_site``,
@@ -236,10 +232,9 @@ def build_topology(topology, *, seed: int = 0,
     between sites.  A single-site topology is a plain MEC deployment:
     no site boundaries, so relocation never triggers.
 
-    ``config`` supplies a fully-formed :class:`NetworkConfig` (the
-    scenario layer builds one from the document's ``network``
-    section); the remaining keyword arguments cover the legacy
-    hand-coded path and are ignored when ``config`` is given.
+    ``config`` is the fully-formed :class:`NetworkConfig` the network
+    is built from (the scenario layer builds one from the document's
+    ``network`` section).
 
     This is the only sanctioned raw-dict deployment entry point, and
     only the scenario layer (plus this module) may call it -- see the
@@ -261,10 +256,6 @@ def build_topology(topology, *, seed: int = 0,
         raise ValueError("each site needs at least one cell")
     if cell_spacing <= 0:
         raise ValueError("cell_spacing must be positive")
-    if config is None:
-        config = _network_config(seed, signalling_config, data_plane)
-        if continuity is not None:
-            config.continuity = continuity
     network = MobileNetwork(config)
 
     enb_positions: dict[str, tuple[float, float]] = {
@@ -316,14 +307,16 @@ def build_edge_fabric(n_sites: int = 3, enbs_per_site: int = 2,
     :class:`~repro.core.config.ContinuityConfig`; the network default
     when omitted).
 
-    Since the scenario layer landed this is a thin wrapper: the
-    parameters become a :func:`fabric_topology` section which
-    :func:`build_topology` interprets, so hand-coded experiments and
-    scenario documents share one construction path.
+    A thin wrapper: the parameters become a :class:`NetworkConfig`
+    and a :func:`fabric_topology` section which :func:`build_topology`
+    interprets, so hand-coded experiments and scenario documents share
+    one construction path.
     """
     if n_sites < 2:
         raise ValueError("an edge fabric needs at least 2 sites")
+    config = _network_config(seed, signalling_config, data_plane)
+    if continuity is not None:
+        config.continuity = continuity
     return build_topology(
         fabric_topology(n_sites, enbs_per_site, cell_spacing),
-        seed=seed, continuity=continuity,
-        signalling_config=signalling_config, data_plane=data_plane)
+        config=config)

@@ -34,7 +34,7 @@ CI-session interruption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.core.events import (SessionDegraded, SessionRelocated,
                                SessionRelocating, SessionRestored)
@@ -48,6 +48,7 @@ from repro.faults.plan import LinkDown, McServerOutage
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.network import MobileNetwork
     from repro.epc.ue import UEDevice
+    from repro.sim.engine import Process
 
 
 @dataclass
@@ -119,21 +120,49 @@ class MecRegistrationServer:
 
         Idempotent per (UE, service): repeated interest matches while a
         session is live do not create extra bearers -- this is exactly
-        the control-overhead saving of Section 5.3.
+        the control-overhead saving of Section 5.3.  Blocks (drives the
+        shared event queue) until :meth:`request_connectivity_async`
+        finishes.
         """
+        session = self.sessions.get((ue.imsi, service_id))
+        if session is not None:
+            return session
+        return self.network.sim.run_until_complete(
+            self.request_connectivity_async(ue, service_id))
+
+    def request_connectivity_async(self, ue: "UEDevice",
+                                   service_id: str) -> "Process":
+        """Start a session request as a simulator process.
+
+        The closest *healthy* instance to the UE's current cell is
+        picked at the call, so a service with none raises
+        :class:`LookupError` here.  The bearer activation and the
+        session registration then run as one process whose value is
+        the :class:`ActiveSession` (the live one, if the UE already
+        holds a session).  Use this form to start many sessions from
+        event callbacks: the blocking form nests an event loop per call.
+        """
+        instance = None
+        if (ue.imsi, service_id) not in self.sessions:
+            service = self.registry.get(service_id)
+            enb_name = self.network.mme.context(ue.imsi).enb.name
+            instance = self._select_instance(service, enb_name)
+            if instance is None:
+                raise LookupError(
+                    f"service {service_id!r} has no healthy instances")
+        return self.network.sim.spawn(
+            self._connect(ue, service_id, instance),
+            name=f"connect:{ue.name}:{service_id}")
+
+    def _connect(self, ue: "UEDevice", service_id: str,
+                 instance: Optional[CIServerInstance]) -> Generator:
         key = (ue.imsi, service_id)
-        if key in self.sessions:
+        if instance is None:        # the UE already holds this session
             return self.sessions[key]
-        service = self.registry.get(service_id)
-        # closest *healthy* instance to the UE's current cell
-        enb_name = self.network.mme.context(ue.imsi).enb.name
-        instance = self._select_instance(service, enb_name)
-        if instance is None:
-            raise LookupError(
-                f"service {service_id!r} has no healthy instances")
-        result = self.network.control_plane.activate_dedicated_bearer(
-            ue, service_id, instance.server_ip, instance.site_name,
-            requested_by=self.name)
+        result = yield from (
+            self.network.control_plane.activate_dedicated_bearer_procedure(
+                ue, service_id, instance.server_ip, instance.site_name,
+                requested_by=self.name))
         session = ActiveSession(
             imsi=ue.imsi, service_id=service_id, instance=instance,
             ebi=result.bearer.ebi, setup_result=result)

@@ -442,10 +442,23 @@ class EPCControlPlane:
             site_name: str, server_port: Optional[int] = None,
             requested_by: str = "mrs") -> "Process":
         return self.sim.spawn(
-            self._guarded(
-                self._activate_proc(ue, service_id, server_ip, site_name,
-                                    server_port, requested_by)),
+            self.activate_dedicated_bearer_procedure(
+                ue, service_id, server_ip, site_name, server_port,
+                requested_by),
             name=f"activate:{ue.name}:{service_id}")
+
+    def activate_dedicated_bearer_procedure(
+            self, ue: "UEDevice", service_id: str, server_ip: str,
+            site_name: str, server_port: Optional[int] = None,
+            requested_by: str = "mrs") -> Generator:
+        """The dedicated-bearer activation as a bare generator.
+
+        For a caller that runs it inside a process of its own
+        (``yield from``) and acts on the result in that same process.
+        """
+        return self._guarded(
+            self._activate_proc(ue, service_id, server_ip, site_name,
+                                server_port, requested_by))
 
     def _activate_proc(self, ue: "UEDevice", service_id: str, server_ip: str,
                        site_name: str, server_port: Optional[int],

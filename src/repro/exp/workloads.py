@@ -5,18 +5,25 @@ return value is JSON-serialisable.  Workloads build their entire world
 from ``trial.seed`` and ``trial.params`` -- no ambient state -- which is
 what makes serial and process-parallel runs byte-identical.
 
-Three workloads cover the paper's latency/matching experiments:
-
 ``ping``
     Median RTT from a UE through one of the three system designs
     (``conventional``, ``mec-shared``, ``acacia``) under background
     load -- the Figure 3(g)/10(b) measurement.
+``bearer_setup``
+    Dedicated-bearer setup latency under concurrent signalling load.
+``chaos``
+    Attach/bearer success and latency under injected signalling loss.
 ``search_space``
     Mean matching time and pruning accuracy per search scheme --
     the Figure 11(a) measurement.
 ``end_to_end``
     Per-frame latency breakdown of a full AR session for one
     deployment kind -- the Figure 13 measurement.
+``scenario``
+    The generic scenario-document interpreter
+    (:mod:`repro.scenario.runtime`); the session-continuity and scale
+    studies run through it (``scenarios/continuity.json``,
+    ``scale.json``, ``million_ue_fluid.json``, ``scale_100k.json``).
 """
 
 from __future__ import annotations
@@ -278,244 +285,6 @@ def run_chaos(trial: TrialSpec) -> dict[str, Any]:
         "retransmissions": network.fabric.retransmissions,
         "duplicates": network.fabric.duplicates,
         "signalling_drops": dict(sorted(network.fabric.drops.items())),
-    }
-
-
-# ---------------------------------------------------------------------------
-# scale: attach storm + data plane at growing UE counts
-# ---------------------------------------------------------------------------
-
-@workload("scale")
-def run_scale(trial: TrialSpec) -> dict[str, Any]:
-    """Whole-network behaviour as the UE population grows.
-
-    Attaches ``n_ues`` UEs *concurrently* (an attach storm contending
-    on the shared signalling channels), then exercises the data plane:
-    optional background CBR load plus a short ping train from the
-    first attached UE to a MEC server.  Reports attach success/latency
-    statistics, the ping median RTT, and the simulator's event count
-    -- the event count is fixed by the seed, so it doubles as a
-    determinism probe for the throughput benchmarks.
-
-    Parameters (``trial.params``):
-
-    * ``n_ues`` -- UEs attaching concurrently;
-    * ``bg_mbps`` -- background offered load in Mbit/s (default 0);
-    * ``data_plane`` -- ``packet`` (default) or ``fluid-bg``;
-    * ``pings`` -- ping-train length (default 5; 0 disables).
-    """
-    from repro.core.config import NetworkConfig, SimConfig
-    from repro.core.network import MobileNetwork, Pinger
-
-    p = trial.param_dict
-    n_ues = int(p.get("n_ues", 100))
-    bg_mbps = float(p.get("bg_mbps", 0))
-    data_plane = p.get("data_plane", "packet")
-    pings = int(p.get("pings", 5))
-
-    network = MobileNetwork(NetworkConfig(
-        seed=trial.seed, sim=SimConfig(data_plane=data_plane)))
-    network.add_mec_site("mec")
-    network.add_server("ci", site_name="mec", echo=True)
-
-    attach_procs = [network.add_ue_async() for _ in range(n_ues)]
-    network.sim.run()
-    attach_results = []
-    attached = []
-    for proc in attach_procs:
-        assert proc.finished and proc.error is None, proc.error
-        attach_results.append(proc.value.attach_result)
-        if proc.value.attached:
-            attached.append(proc.value)
-
-    good = [r for r in attach_results if r.outcome in ("ok", "retried-ok")]
-    latencies = [r.elapsed for r in good]
-
-    median_rtt_ms = None
-    if pings > 0 and attached:
-        if bg_mbps > 0:
-            network.add_background_load(rate=bg_mbps * 1e6).start()
-        start = network.sim.now
-        pinger = Pinger(network, attached[0], "ci", size=256, interval=0.1)
-        pinger.run(count=pings, start=1.0)
-        network.sim.run(until=start + 1.0 + pings * 0.1 + 2.0)
-        pinger.close()
-        if pinger.rtts:
-            median_rtt_ms = float(np.median(pinger.rtts)) * 1e3
-
-    return {
-        "n_ues": n_ues,
-        "attach_success_rate": len(good) / n_ues if n_ues else 0.0,
-        "attach_mean_ms": (float(np.mean(latencies)) * 1e3
-                           if latencies else 0.0),
-        "attach_p95_ms": (float(np.percentile(latencies, 95)) * 1e3
-                          if latencies else 0.0),
-        "median_rtt_ms": median_rtt_ms,
-        "events_run": network.sim.events_run,
-    }
-
-
-# ---------------------------------------------------------------------------
-# continuity: session survival while UEs sweep a multi-site edge fabric
-# ---------------------------------------------------------------------------
-
-@workload("continuity")
-def run_continuity(trial: TrialSpec) -> dict[str, Any]:
-    """CI-session continuity while UEs sweep across edge sites.
-
-    Builds an ``n_sites``-site edge fabric (one CI echo server per
-    site), attaches ``n_ues`` UEs in the first cell, gives each a
-    dedicated-bearer CI session and walks them down the whole line of
-    cells.  Every cross-boundary handover triggers application-context
-    relocation under the configured policy; each UE pings its CI
-    server throughout (retargeted to the new site's instance on
-    :class:`~repro.core.events.SessionRelocated`), so the measured
-    interruption and any ping loss are real data-plane effects.
-
-    Parameters (``trial.params``):
-
-    * ``policy`` -- ``make-before-break`` | ``break-before-make``;
-    * ``n_ues`` -- walkers (scales to hundreds/thousands);
-    * ``n_sites`` / ``enbs_per_site`` -- fabric shape;
-    * ``context_kb`` -- application-context size per session (KB);
-    * ``speed`` -- walk speed in m/s; ``cell_spacing`` -- metres
-      between cells; ``stagger`` -- per-UE walk start offset (s);
-    * ``hysteresis`` (m) and ``hysteresis_db`` (dB) -- handover
-      margins; ``update_interval`` -- mobility tick (s);
-    * ``bg_mbps`` -- central background load; ``data_plane`` --
-      ``packet`` (default) or ``fluid-bg``;
-    * ``ping_interval`` / ``ping_size`` -- probe-train shape
-      (``ping_interval`` 0 disables probing);
-    * ``tail`` -- settle time after the last walk ends (s).
-    """
-    from repro.apps.mobility import MobilityManager
-    from repro.apps.scenario import WalkPath
-    from repro.baselines.deployments import build_edge_fabric
-    from repro.core.config import ContinuityConfig
-    from repro.core.events import SessionRelocated
-    from repro.core.network import Pinger
-
-    p = trial.param_dict
-    policy = p.get("policy", "make-before-break")
-    n_ues = int(p.get("n_ues", 24))
-    n_sites = int(p.get("n_sites", 3))
-    enbs_per_site = int(p.get("enbs_per_site", 2))
-    context_kb = float(p.get("context_kb", 2000))
-    speed = float(p.get("speed", 25.0))
-    cell_spacing = float(p.get("cell_spacing", 100.0))
-    stagger = float(p.get("stagger", 0.05))
-    hysteresis = float(p.get("hysteresis", 3.0))
-    hysteresis_db = float(p.get("hysteresis_db", 0.0))
-    update_interval = float(p.get("update_interval", 0.5))
-    bg_mbps = float(p.get("bg_mbps", 0))
-    data_plane = p.get("data_plane", "packet")
-    ping_interval = float(p.get("ping_interval", 0.2))
-    ping_size = int(p.get("ping_size", 256))
-    tail = float(p.get("tail", 5.0))
-
-    fabric = build_edge_fabric(
-        n_sites=n_sites, enbs_per_site=enbs_per_site, seed=trial.seed,
-        continuity=ContinuityConfig(
-            policy=policy, context_size_bytes=int(context_kb * 1000)),
-        data_plane=data_plane, cell_spacing=cell_spacing)
-    network = fabric.network
-    mrs = fabric.mrs
-
-    relocated: list[SessionRelocated] = []
-    pingers: dict[str, Pinger] = {}
-
-    def on_relocated(event: SessionRelocated) -> None:
-        relocated.append(event)
-        pinger = pingers.get(event.imsi)
-        if pinger is not None:
-            server_name = fabric.server_of_site[event.to_site]
-            pinger.server = network.servers[server_name]
-
-    network.hooks.on(SessionRelocated, on_relocated)
-
-    # attach storm in the first cell, then one CI session per UE
-    attach_procs = [network.add_ue_async(enb_name="enb0")
-                    for _ in range(n_ues)]
-    network.sim.run()
-    ues = []
-    for proc in attach_procs:
-        assert proc.finished and proc.error is None, proc.error
-        if proc.value.attached:
-            ues.append(proc.value)
-    for ue in ues:
-        mrs.request_connectivity(ue, fabric.service_id)
-
-    if bg_mbps > 0:
-        network.add_background_load(rate=bg_mbps * 1e6).start()
-
-    # walk the whole line of cells, staggered so handovers overlap but
-    # do not all fire in the same tick
-    manager = MobilityManager(network, fabric.enb_positions,
-                              update_interval=update_interval,
-                              hysteresis=hysteresis,
-                              hysteresis_db=hysteresis_db)
-    end_x = cell_spacing * (n_sites * enbs_per_site - 1)
-    walk_duration = end_x / speed
-    start_at = network.sim.now + 1.0
-    users = []
-    for i, ue in enumerate(ues):
-        walk = WalkPath(waypoints=[(0.0, 0.0), (end_x, 0.0)], speed=speed)
-        network.sim.schedule(
-            start_at + i * stagger - network.sim.now,
-            lambda u=ue, w=walk: users.append(manager.add_mobile(u, w)))
-        if ping_interval > 0:
-            pinger = Pinger(network, ue, fabric.server_of_site["edge0"],
-                            size=ping_size, interval=ping_interval)
-            count = int((walk_duration + n_ues * stagger + tail)
-                        / ping_interval)
-            pinger.run(count=count, start=start_at + i * stagger)
-            pingers[ue.imsi] = pinger
-
-    horizon = start_at + n_ues * stagger + walk_duration + tail
-    network.sim.run(until=horizon)
-    for pinger in pingers.values():
-        pinger.close()
-
-    last_site = f"edge{n_sites - 1}"
-    sessions_alive = 0
-    sessions_on_last_site = 0
-    for ue in ues:
-        session = mrs.session_for(ue, fabric.service_id)
-        if session is None:
-            continue
-        bearer = ue.bearers.bearers.get(session.ebi)
-        if bearer is not None and bearer.active:
-            sessions_alive += 1
-            if session.instance.site_name == last_site:
-                sessions_on_last_site += 1
-
-    interruptions = [e.interruption for e in relocated]
-    handovers = sum(len(u.handovers) for u in users)
-    answered = sum(len(pg.rtts) for pg in pingers.values())
-    lost = sum(pg.lost for pg in pingers.values())
-    return {
-        "policy": policy,
-        "n_ues": n_ues,
-        "n_sites": n_sites,
-        "attached": len(ues),
-        "handovers": handovers,
-        "relocations_started": mrs.relocations_started,
-        "relocations_completed": mrs.relocations_completed,
-        "relocations_skipped_fault": mrs.relocations_skipped_fault,
-        "sessions_alive": sessions_alive,
-        "sessions_on_last_site": sessions_on_last_site,
-        "interruption_ms": {
-            "mean": (float(np.mean(interruptions)) * 1e3
-                     if interruptions else 0.0),
-            "p95": (float(np.percentile(interruptions, 95)) * 1e3
-                    if interruptions else 0.0),
-            "max": (float(np.max(interruptions)) * 1e3
-                    if interruptions else 0.0),
-        },
-        "context_bytes_moved": sum(e.transferred_bytes for e in relocated),
-        "pings_answered": answered,
-        "pings_lost": lost,
-        "events_run": network.sim.events_run,
     }
 
 

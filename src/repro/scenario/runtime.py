@@ -298,11 +298,15 @@ class ScenarioRun:
                 self.pingers[ue.imsi] = pinger
 
     def request_session(self, ue) -> None:
-        # scheduled (not called inline) so the synchronous bearer
-        # activation inside cannot drain armed future fault events;
-        # run_until_complete is reentrant from an event callback
+        """Start one UE's CI session as a simulator process.
+
+        Counts a failure if the service has no healthy instance.  Runs
+        as a scheduled event (phase 2 and the ops ``start_session``
+        call); each request is its own process, so any number of
+        sessions start without nesting event loops.
+        """
         try:
-            self.mrs.request_connectivity(ue, self.fabric.service_id)
+            self.mrs.request_connectivity_async(ue, self.fabric.service_id)
         except LookupError:
             self.session_failures += 1
 

@@ -338,6 +338,25 @@ class TestRelocationPolicies:
 
 # -- end to end ------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def continuity_runs():
+    """The ``continuity`` preset's trials, each driven to the end as a
+    :class:`~repro.scenario.runtime.ScenarioRun` so the tests can read
+    the sessions themselves, keyed by ``(policy, n_ues)``."""
+    from repro.exp import preset
+    from repro.scenario.runtime import ScenarioRun
+
+    runs = {}
+    for trial in preset("continuity").trials():
+        run = ScenarioRun(trial)
+        for time, callback in run.milestones():
+            run.sim.run(until=time)
+            callback()
+        params = trial.param_dict
+        runs[(params["policy"], params["n_ues"])] = (run, run.collect())
+    return runs
+
+
 class TestContinuityEndToEnd:
     def test_ue_sweeps_three_sites_session_alive(self):
         """A walker crossing all three sites keeps its CI session:
@@ -370,25 +389,44 @@ class TestContinuityEndToEnd:
         pinger.close()
         assert len(pinger.rtts) == 5
 
-    def test_continuity_workload_runs_and_reports(self):
-        from repro.exp.spec import TrialSpec
-        from repro.exp.workloads import get
+    def test_continuity_workload_runs_and_reports(self, continuity_runs):
+        """Every trial of the ``continuity`` preset: each walker
+        attaches, keeps a live session across both site boundaries, ends
+        anchored on the last site and has every probe answered."""
+        assert len(continuity_runs) == 4
+        for (_, n_ues), (run, out) in continuity_runs.items():
+            last_site = f"edge{run.topology['sites'] - 1}"
+            assert len(run.ues) == n_ues == out["attached"]
+            for ue in run.ues:
+                session = run.mrs.session_for(ue, run.fabric.service_id)
+                assert session is not None
+                assert ue.bearers.bearers[session.ebi].active
+                assert session.instance.site_name == last_site
+            assert out["sessions_alive"] == n_ues
+            assert out["relocations_completed"] == 2 * n_ues
+            # every probe of every walker is answered across both
+            # relocations: 101 probes per UE at 8 UEs, 108 at 32
+            assert out["pings_lost"] == 0
+            assert out["pings_answered"] == run.probes * n_ues == {
+                8: 808, 32: 3456}[n_ues]
 
-        trial = TrialSpec(experiment="t", index=0, workload="continuity",
-                          base_seed=5, seed=5,
-                          params=(("n_ues", 3), ("tail", 3.0)))
-        out = get("continuity")(trial)
-        assert out["attached"] == 3
-        assert out["sessions_alive"] == 3
-        assert out["sessions_on_last_site"] == 3
-        assert out["relocations_completed"] == 6     # 2 boundaries x 3 UEs
-        assert out["interruption_ms"]["mean"] > 0.0
+    def test_interruption_per_policy(self, continuity_runs):
+        """Pre-copying the context (make-before-break) cuts the
+        measured interruption well below moving all of it during the
+        outage (break-before-make), at every population."""
+        pinned = {"make-before-break": 10.03488,
+                  "break-before-make": 26.28992}
+        for (policy, n_ues), (_, out) in continuity_runs.items():
+            assert out["interruption_ms_mean"] == pytest.approx(
+                pinned[policy], rel=1e-6)
+        for n_ues in (8, 32):
+            mbb = continuity_runs[("make-before-break", n_ues)][1]
+            bbm = continuity_runs[("break-before-make", n_ues)][1]
+            assert mbb["interruption_ms_mean"] < bbm["interruption_ms_mean"]
 
-    def test_workload_is_deterministic(self):
-        from repro.exp.spec import TrialSpec
-        from repro.exp.workloads import get
+    def test_workload_is_deterministic(self, continuity_runs):
+        from repro.scenario.runtime import execute
 
-        trial = TrialSpec(experiment="t", index=0, workload="continuity",
-                          base_seed=5, seed=5,
-                          params=(("n_ues", 2), ("tail", 2.0)))
-        assert get("continuity")(trial) == get("continuity")(trial)
+        for (_, n_ues), (run, out) in continuity_runs.items():
+            if n_ues == 8:
+                assert execute(run.trial) == out

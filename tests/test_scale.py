@@ -123,3 +123,63 @@ def test_concurrent_ar_sessions_contend_at_the_server():
                                           object_features=500.0)
     contended = [r.match_time for s in sessions for r in s.records]
     assert max(contended) > 1.5 * single
+
+
+def _run_to_end(trial):
+    """Drive one scenario trial to its end as a ``ScenarioRun``, so a
+    test can read the simulated objects as well as the metrics."""
+    from repro.scenario.runtime import ScenarioRun
+
+    run = ScenarioRun(trial)
+    for time, callback in run.milestones():
+        run.sim.run(until=time)
+        callback()
+    return run, run.collect()
+
+
+def test_scale_preset_attach_storm_latency():
+    """The ``scale`` preset's attach storm at its smallest and largest
+    population: every UE attaches, and contention on the shared
+    signalling channels stretches the attach latency as the storm
+    grows (read from each UE's attach result)."""
+    from repro.exp import preset
+
+    pinned = {10: (69.51776, 74.83136), 200: (358.9184, 476.39776)}
+    for trial in preset("scale").trials():
+        n_ues = trial.param_dict["n_ues"]
+        if n_ues not in pinned:
+            continue
+        run, metrics = _run_to_end(trial)
+        assert metrics["attach_outcomes"] == {"ok": n_ues}
+        assert metrics["sessions_alive"] == n_ues
+        assert metrics["pings_answered"] == 5 * n_ues
+        latencies = [ue.attach_result.elapsed * 1e3 for ue in run.ues]
+        mean_ms, p95_ms = pinned[n_ues]
+        assert float(np.mean(latencies)) == pytest.approx(mean_ms, rel=1e-6)
+        assert float(np.percentile(latencies, 95)) == pytest.approx(
+            p95_ms, rel=1e-6)
+
+
+def test_scale_100k_document():
+    """The 100,000-UE population of ``scenarios/scale_100k.json``:
+    1,000 UEs attach in one storm and ping over the central path while
+    the other 99,000 (at 20 kbit/s each) ride as fluid background."""
+    from repro.scenario import load
+
+    (trial,) = load("scale_100k").compile().trials()
+    run, metrics = _run_to_end(trial)
+    assert metrics["attach_outcomes"] == {"ok": 1000}
+    assert metrics["pings_answered"] == 1000 * run.probes
+    assert metrics["pings_lost"] == 0
+
+    # the population the run carried: the attached UEs plus the
+    # background's delivered rate in 20 kbit/s UEs
+    (background,) = run.network.fluid.flows
+    background.sync()
+    checkpoints = background.delivery_checkpoints()
+    (t0, _), (t1, delivered) = checkpoints[0], checkpoints[-1]
+    carried_ues = delivered * 8.0 / (t1 - t0) / 20e3
+    assert len(run.ues) + carried_ues == pytest.approx(100_000, rel=1e-9)
+    # the aggregate costs no per-packet events: the whole run takes
+    # fewer events than a fifth of the background's packets alone
+    assert 5 * metrics["events_run"] < background.packets_delivered

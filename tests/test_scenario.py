@@ -289,6 +289,33 @@ def test_generic_workload_arms_faults():
     assert metrics["faults_cleared"] == 1
 
 
+def test_hundreds_of_edge_sessions_start_as_processes():
+    """Each session request runs as its own process, so 250 edge UEs
+    (past the depth where nested blocking requests overflowed the
+    stack) all end with a live session."""
+    doc = minimal(
+        topology={"sites": 1, "enbs_per_site": 1},
+        traffic={"ci": {"n_ues": 250, "path": "edge", "probes": 1}},
+        run={"warmup": 2.0, "duration": 1.0, "tail": 1.0})
+    metrics = run_document(doc).trials[0].metrics
+    assert metrics["attached"] == 250
+    assert metrics["sessions_alive"] == 250
+    assert metrics["session_failures"] == 0
+
+
+def test_no_healthy_instance_fails_every_session_request():
+    doc = minimal(
+        topology={"sites": 1, "enbs_per_site": 1},
+        traffic={"ci": {"n_ues": 3, "path": "edge", "ping_interval": 0.5}},
+        faults=[{"type": "mc_server_outage", "server": "ci-edge0",
+                 "at": 0.0}],
+        run={"duration": 2.0})
+    metrics = run_document(doc).trials[0].metrics
+    assert metrics["attached"] == 3
+    assert metrics["session_failures"] == 3
+    assert metrics["sessions_alive"] == 0
+
+
 def test_sweep_axes_override_document_scalars():
     doc = minimal(
         traffic={"ci": {"n_ues": 2, "ping_interval": 0.2}},
