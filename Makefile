@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint perfbench-selftest bench bench-resilience examples quick exp-smoke scenario-validate ops-soak-smoke all clean-results
+.PHONY: test lint perfbench-selftest bench bench-resilience examples quick exp-smoke scenario-validate all clean-results
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -23,9 +23,6 @@ exp-smoke:   ## tiny 2-seed experiment spec end-to-end through the parallel runn
 scenario-validate:   ## validate the whole scenario catalogue, then run the CI smoke scenario
 	PYTHONPATH=src $(PYTHON) -m repro scenario validate
 	PYTHONPATH=src $(PYTHON) -m repro scenario run quick_test --serial --output /tmp/quick_test_result.json
-
-ops-soak-smoke:   ## compressed diurnal soak through the operator runtime: 0 dropped sessions, autoscaler active, byte-identical reruns
-	PYTHONPATH=src $(PYTHON) tools/ops_soak_smoke.py --duration 600
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

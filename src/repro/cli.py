@@ -559,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     client("snapshot", "full metrics summary of the running service")
     client("drain", "stop offering new match load")
     client("stop", "request a graceful shutdown")
-    site_load = client("site-load", "per-site matcher/admission load")
+    site_load = client("site-load", "per-site matcher load")
     site_load.add_argument("--site", default=None,
                            help="one site (default: all)")
     attach = client("attach", "attach a new UE")

@@ -341,7 +341,7 @@ DATA_PLANES = ("packet", "fluid-bg")
 
 @dataclass
 class SimConfig(ConfigMapping):
-    """Simulation-layer settings and the simulator factory.
+    """Simulation-layer settings.
 
     The event queue itself has no knobs: every run uses the one
     ``(time, priority, seq)`` queue of :class:`~repro.sim.engine.Simulator`.
@@ -360,16 +360,6 @@ class SimConfig(ConfigMapping):
         if self.data_plane not in DATA_PLANES:
             raise ValueError(f"unknown data plane {self.data_plane!r}; "
                              f"expected one of {DATA_PLANES}")
-
-    def build_simulator(self):
-        """Construct a :class:`~repro.sim.engine.Simulator`.
-
-        Imports lazily so the config layer stays importable without
-        pulling the sim stack in at module scope.
-        """
-        from repro.sim.engine import Simulator
-
-        return Simulator()
 
 
 #: Which fields of which config class hold nested config objects --

@@ -80,9 +80,7 @@ class MobileNetwork:
     def __init__(self, config: Optional[NetworkConfig] = None,
                  ctx: Optional[SimContext] = None) -> None:
         self.config = config or NetworkConfig()
-        self.ctx = (ctx if ctx is not None
-                    else SimContext(self.config.seed,
-                                    sim=self.config.sim.build_simulator()))
+        self.ctx = ctx if ctx is not None else SimContext(self.config.seed)
         self.sim = self.ctx.sim
         self.hooks = self.ctx.hooks
         self.rng = self.ctx.rng("net.jitter")
@@ -106,7 +104,7 @@ class MobileNetwork:
             specs=self.config.signalling.transports())
         self.control_plane = EPCControlPlane(
             self.sim, self.mme, self.hss, self.pcrf, self.sgwc, self.pgwc,
-            self.controller, ledger=self.ledger, fabric=self.fabric,
+            self.controller, fabric=self.fabric,
             retry_policy=self.config.resilience.policy())
         self.paging = PagingManager(self.control_plane)
         self.imsis = ImsiAllocator()
@@ -466,13 +464,6 @@ class MobileNetwork:
         target = self._target_enb(target_enb_name)
         port = self._wire_radio(ue, target)
         return self.control_plane.handover_async(ue, target, radio_port=port)
-
-    def s1_handover(self, ue: UEDevice, target_enb_name: str
-                    ) -> ProcedureResult:
-        """MME-coordinated handover variant (no X2 between the cells)."""
-        target = self._target_enb(target_enb_name)
-        port = self._wire_radio(ue, target)
-        return self.control_plane.s1_handover(ue, target, radio_port=port)
 
     # -- ACACIA / baseline wiring ------------------------------------------
 

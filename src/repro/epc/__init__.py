@@ -6,17 +6,12 @@ traffic-flow-template (TFT) classification, GTP-C/GTP-U messaging, the
 control-plane entities (MME, HSS, PCRF/PCEF, split SGW-C/PGW-C), the
 data-plane nodes (UE, eNodeB) and the signalling procedures (attach,
 network-initiated dedicated-bearer activation, idle release and service
-request, X2 handover) whose message counts/bytes reproduce the paper's
-control overhead analysis (Section 4).  Optional components round out
-the operator machinery: downlink paging, GBR admission control with ARP
-preemption, and PCEF usage accounting.
+request, X2 handover with S1 path switch) whose message counts/bytes
+reproduce the paper's control overhead analysis (Section 4), plus
+downlink paging for idle UEs.
 """
 
-from repro.epc.admission import (AdmissionController, AdmissionError, Arp,
-                                 Reservation)
 from repro.epc.bearer import Bearer, PacketFilter, TrafficFlowTemplate
-from repro.epc.charging import (BearerUsage, ChargingFunction,
-                                ChargingRecord, Tariff, UsageCollector)
 from repro.epc.events import (BearerActivated, BearerDeactivated,
                               DownlinkDelivered, HandoverCompleted,
                               ServiceRequestCompleted, UeAttached,
@@ -28,15 +23,9 @@ from repro.epc.paging import PagingManager
 from repro.epc.qos import QCI_TABLE, QosClass
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionError",
-    "Arp",
     "Bearer",
     "BearerActivated",
     "BearerDeactivated",
-    "BearerUsage",
-    "ChargingFunction",
-    "ChargingRecord",
     "ControlLedger",
     "DownlinkDelivered",
     "FTeid",
@@ -47,14 +36,11 @@ __all__ = [
     "PagingManager",
     "QCI_TABLE",
     "QosClass",
-    "Reservation",
     "ServiceRequestCompleted",
-    "Tariff",
     "TeidAllocator",
     "TrafficFlowTemplate",
     "UeAttached",
     "UeIpAssigned",
     "UeReleasedToIdle",
-    "UsageCollector",
     "daily_overhead_bytes",
 ]

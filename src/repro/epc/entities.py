@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.epc.admission import Arp
 from repro.epc.identifiers import IpPool, TeidAllocator
 from repro.epc.qos import DEFAULT_BEARER_QCI, qos_for
 
@@ -121,26 +120,14 @@ class MME(ControlEndpoint):
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """Operator-configured policy for one CI service (PCRF database row).
-
-    ``gbr`` (bits/sec) is only meaningful for GBR QCIs (1-4) and makes
-    dedicated bearers subject to admission control; ``arp`` governs
-    preemption (see :mod:`repro.epc.admission`).
-    """
+    """Operator-configured policy for one CI service (PCRF database row)."""
 
     service_id: str
     qci: int
     precedence: int = 10
-    gbr: float = 0.0
-    arp: Arp = field(default_factory=Arp)
 
     def __post_init__(self) -> None:
         qos_for(self.qci)
-        if self.gbr < 0:
-            raise ValueError("GBR must be non-negative")
-        if self.gbr > 0 and not qos_for(self.qci).is_gbr:
-            raise ValueError(
-                f"QCI {self.qci} is non-GBR; cannot guarantee a bit rate")
 
 
 @dataclass
@@ -148,8 +135,7 @@ class PolicyRule:
     """A dynamically generated PCC rule pushed to the PCEF.
 
     Carries the service id, QCI and the flow information (UE and CI
-    server addresses) exactly as Section 5.4 step (2) describes, plus
-    the GBR/ARP attributes admission control needs.
+    server addresses) exactly as Section 5.4 step (2) describes.
     """
 
     service_id: str
@@ -158,8 +144,6 @@ class PolicyRule:
     ue_ip: str
     server_ip: str
     server_port: Optional[int] = None
-    gbr: float = 0.0
-    arp: Arp = field(default_factory=Arp)
 
 
 class PCRF(ControlEndpoint):
@@ -186,8 +170,7 @@ class PCRF(ControlEndpoint):
         policy = self.policy_for(service_id)
         rule = PolicyRule(service_id=service_id, qci=policy.qci,
                           precedence=policy.precedence, ue_ip=ue_ip,
-                          server_ip=server_ip, server_port=server_port,
-                          gbr=policy.gbr, arp=policy.arp)
+                          server_ip=server_ip, server_port=server_port)
         self.rules_generated.append(rule)
         return rule
 

@@ -86,7 +86,7 @@ class BearerDeactivated:
 
 @dataclass(frozen=True)
 class HandoverCompleted:
-    """X2 or S1 handover finished; the UE is served by ``target``."""
+    """X2 handover finished; the UE is served by ``target``."""
 
     ue: "UEDevice"
     source: "ENodeB"

@@ -83,14 +83,6 @@ PATH_SWITCH_REQUEST = MessageType("SCTP", "PathSwitchRequest", 172)
 PATH_SWITCH_REQUEST_ACK = MessageType("SCTP",
                                       "PathSwitchRequestAcknowledge", 124)
 
-# --- S1 handover (MME-coordinated, for eNBs without an X2 link)
-HANDOVER_REQUIRED = MessageType("SCTP", "HandoverRequired", 196)
-HANDOVER_REQUEST = MessageType("SCTP", "HandoverRequest", 228)
-HANDOVER_REQUEST_ACK = MessageType("SCTP", "HandoverRequestAcknowledge",
-                                   164)
-HANDOVER_COMMAND = MessageType("SCTP", "HandoverCommand", 132)
-HANDOVER_NOTIFY = MessageType("SCTP", "HandoverNotify", 88)
-
 # --- Diameter (Rx: MRS/AF <-> PCRF; Gx: PCRF <-> PCEF/PGW-C)
 AA_REQUEST = MessageType("Diameter", "AA-Request(Rx)", 412)
 AA_ANSWER = MessageType("Diameter", "AA-Answer(Rx)", 220)

@@ -42,7 +42,6 @@ from repro.epc.events import (BearerActivated, BearerDeactivated,
                               UeAttached, UeIpAssigned, UeReleasedToIdle)
 from repro.epc.identifiers import FTeid
 from repro.epc.messages import ControlMessage
-from repro.epc.overhead import ControlLedger
 from repro.epc.signalling import (RetryPolicy, SignallingFabric,
                                   SignallingTimeout)
 from repro.sdn.openflow import FlowMatch, FlowRule, GtpDecap, GtpEncap, Output
@@ -73,8 +72,7 @@ class ProcedureResult:
     * ``"ok"`` -- completed, no retransmissions needed;
     * ``"retried-ok"`` -- completed, but >= 1 message was retransmitted;
     * ``"timeout"`` -- a message exhausted its retransmission budget
-      (the procedure stopped at that hop instead of hanging);
-    * ``"rejected"`` -- refused by admission control.
+      (the procedure stopped at that hop instead of hanging).
 
     ``retries`` / ``timer_expiries`` count retransmissions and timer
     firings across the procedure's hops (including its flow-mods).
@@ -104,21 +102,19 @@ class ProcedureResult:
 class EPCControlPlane:
     """Binds the control entities together and runs the procedures.
 
-    Procedures execute as simulator processes over a
-    :class:`~repro.epc.signalling.SignallingFabric`; one is created on
-    the shared ledger if none is supplied.  The SDN controller is bound
-    to the same fabric so flow-mods traverse the OpenFlow channel like
+    Procedures execute as simulator processes over the given
+    :class:`~repro.epc.signalling.SignallingFabric`, every hop guarded
+    by ``retry_policy``.  The SDN controller is bound to the same
+    fabric and policy so flow-mods traverse the OpenFlow channel like
     every other control message.
     """
 
     def __init__(self, sim: "Simulator", mme: MME, hss: HSS, pcrf: PCRF,
                  sgwc: SGWC, pgwc: PGWC, controller: "SdnController",
-                 ledger: Optional[ControlLedger] = None,
-                 fabric: Optional[SignallingFabric] = None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 fabric: SignallingFabric,
+                 retry_policy: RetryPolicy) -> None:
         self.sim = sim
-        #: retransmission policy for every hop (None = legacy plain
-        #: sends, which assume lossless transports)
+        #: retransmission policy for every hop
         self.retry_policy = retry_policy
         self.mme = mme
         self.hss = hss
@@ -126,20 +122,9 @@ class EPCControlPlane:
         self.sgwc = sgwc
         self.pgwc = pgwc
         self.controller = controller
-        self.ledger = ledger if ledger is not None else controller.ledger
-        if controller.ledger is not self.ledger:
-            raise ValueError(
-                "controller and control plane must share one ledger")
-        self.fabric = fabric if fabric is not None else SignallingFabric(
-            sim, self.ledger)
-        if self.fabric.ledger is not self.ledger:
-            raise ValueError(
-                "signalling fabric and control plane must share one ledger")
+        self.fabric = fabric
         self._open_core_channels()
-        controller.bind_fabric(self.fabric)
-        controller.retry_policy = retry_policy
-        #: optional GBR admission control (repro.epc.admission)
-        self.admission = None
+        controller.bind_fabric(self.fabric, retry_policy)
         #: in-flight service requests by IMSI (concurrent triggers join)
         self._service_requests: dict[str, "Process"] = {}
 
@@ -189,8 +174,7 @@ class EPCControlPlane:
              sender: str, receiver: str, **fields) -> Generator:
         """Send one control message and suspend until delivery.
 
-        With a retry policy configured the hop retransmits on timer
-        expiry; exhausting the budget raises
+        The hop retransmits on timer expiry; exhausting the budget raises
         :class:`~repro.epc.signalling.SignallingTimeout` into the
         procedure, which the ``_guarded`` wrapper turns into a
         terminal ``timeout`` outcome.
@@ -479,25 +463,7 @@ class EPCControlPlane:
         self.pgwc.pcef_install(ue.imsi, rule)
         yield from self._hop(result, m.RE_AUTH_ANSWER, self.pgwc.name, "pcrf")
 
-        # GBR admission (optional): reserve bandwidth, preempting
-        # lower-ARP bearers if the rule's ARP permits
         ebi = ue.bearers.allocate_ebi()
-        if self.admission is not None:
-            try:
-                self.admission.request(ue.imsi, ebi, site_name, rule.qci,
-                                       rule.gbr, rule.arp)
-            except Exception:
-                self.pgwc.pcef_remove(ue.imsi, service_id)
-                yield from self._hop(result, m.AA_ANSWER, "pcrf",
-                                     requested_by, outcome="rejected")
-                result.outcome = "rejected"
-                result.failure = "admission rejected"
-                self._complete(result, ue)
-                raise
-            for victim in self.admission.drain_preempted():
-                victim_ue = self.mme.context(victim.imsi).ue
-                yield from self._deactivate_proc(
-                    victim_ue, victim.ebi, requested_by="admission")
 
         # (3) Set-up: GW-Cs place *local* GW-U addresses in the F-TEIDs
         bearer = Bearer(ebi=ebi, qci=rule.qci,
@@ -609,8 +575,6 @@ class EPCControlPlane:
         site.pgw_teids.release(bearer.pgw_fteid.teid)
         enb.release_bearer(ue.ip, ebi)
         ue.remove_bearer(ebi)
-        if self.admission is not None:
-            self.admission.release(ue.imsi, ebi, bearer.gateway_site)
 
         result.bearer = bearer
         self._complete(result, ue)
@@ -948,86 +912,4 @@ class EPCControlPlane:
             result.messages.append(message)
         result.bearer = bearer
         self._complete(result, ue)
-        return result
-
-    def s1_handover(self, ue: "UEDevice", target_enb: "ENodeB",
-                    radio_port: str) -> ProcedureResult:
-        """S1 (MME-coordinated) handover, for cells without an X2 link.
-
-        Same data-plane outcome as :meth:`handover` -- the SGW-U
-        anchors every bearer and only the S1 leg moves -- but the
-        preparation and completion run through the MME, costing more
-        signalling and a longer interruption.
-        """
-        return self.sim.run_until_complete(
-            self.s1_handover_async(ue, target_enb, radio_port))
-
-    def s1_handover_async(self, ue: "UEDevice", target_enb: "ENodeB",
-                          radio_port: str) -> "Process":
-        return self.sim.spawn(
-            self._guarded(self._s1_handover_proc(ue, target_enb, radio_port)),
-            name=f"s1-handover:{ue.name}")
-
-    def _s1_handover_proc(self, ue: "UEDevice", target_enb: "ENodeB",
-                          radio_port: str) -> Generator:
-        context = self.mme.context(ue.imsi)
-        source = context.enb
-        if source is target_enb:
-            return ProcedureResult("s1-handover(noop)")
-        if not ue.rrc_connected:
-            raise RuntimeError(
-                f"{ue.name} is idle; handover needs RRC connected")
-        result = self._begin("s1-handover", ue)
-
-        # preparation through the MME
-        yield from self._hop(result, m.HANDOVER_REQUIRED, source.name,
-                             self.mme.name, imsi=ue.imsi)
-        yield from self._hop(result, m.HANDOVER_REQUEST, self.mme.name,
-                             target_enb.name)
-        target_enb.register_ue(ue.ip, radio_port)
-        active = [b for b in ue.bearers if b.active]
-        for bearer in active:
-            site = self.sgwc.site(bearer.gateway_site)
-            bearer.enb_fteid = target_enb.setup_bearer(
-                ue.ip, bearer.ebi, bearer.sgw_s1_fteid,
-                site.enb_port(target_enb.name))
-        yield from self._hop(result, m.HANDOVER_REQUEST_ACK, target_enb.name,
-                             self.mme.name)
-        yield from self._hop(result, m.HANDOVER_COMMAND, self.mme.name,
-                             source.name)
-
-        # execution over the air
-        yield from self._hop(result, m.RRC_CONNECTION_RECONFIGURATION,
-                             source.name, ue.name, handover=True)
-        yield from self._hop(result,
-                             m.RRC_CONNECTION_RECONFIGURATION_COMPLETE,
-                             ue.name, target_enb.name)
-        yield from self._hop(result, m.HANDOVER_NOTIFY, target_enb.name,
-                             self.mme.name)
-
-        # completion: bearer modification + downlink path switch
-        yield from self._hop(result, m.MODIFY_BEARER_REQUEST, self.mme.name,
-                             self.sgwc.name)
-        yield from self._hop(result, m.MODIFY_BEARER_RESPONSE, self.sgwc.name,
-                             self.mme.name)
-        for bearer in active:
-            site = self.sgwc.site(bearer.gateway_site)
-            yield from self._flow_del(result, site.sgw_u.name,
-                                      self._dl_cookie(bearer))
-            yield from self._install_sgw_dl_rule(result, bearer, site,
-                                                 target_enb)
-
-        # the MME releases the source-side context
-        yield from self._hop(result, m.UE_CONTEXT_RELEASE_COMMAND,
-                             self.mme.name, source.name)
-        yield from self._hop(result, m.UE_CONTEXT_RELEASE_COMPLETE,
-                             source.name, self.mme.name)
-        for bearer in active:
-            source.release_bearer(ue.ip, bearer.ebi)
-        source.radio_ports.pop(ue.ip, None)
-        context.enb = target_enb
-
-        self._complete(result, ue)
-        self._signal(HandoverCompleted, ue=ue, source=source,
-                     target=target_enb, result=result)
         return result

@@ -2,8 +2,7 @@
 
 Standardised characteristics from TS 23.203 Table 6.1.7.  Each bearer is
 associated with one QCI; the priority column drives the strict-priority
-scheduler on simulated links (Figure 10(a) measures RTT per QCI), and the
-packet delay budget is used as an admission sanity check.
+scheduler on simulated links (Figure 10(a) measures RTT per QCI).
 """
 
 from __future__ import annotations

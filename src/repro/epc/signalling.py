@@ -68,18 +68,6 @@ class ChannelSpec:
     queue_bytes: int = 2_000_000
 
 
-#: Default transport parameters by protocol, calibrated so a lone
-#: procedure's latency lands where the old per-hop constants put it,
-#: while concurrent procedures now contend for the shared channels.
-DEFAULT_TRANSPORTS: dict[str, ChannelSpec] = {
-    "RRC": ChannelSpec(delay=0.008, bandwidth=1e6),       # air interface
-    "SCTP": ChannelSpec(delay=0.0015, bandwidth=20e6),    # S1-MME
-    "GTPv2": ChannelSpec(delay=0.0015, bandwidth=20e6),   # S11 / S5-C
-    "Diameter": ChannelSpec(delay=0.0015, bandwidth=20e6),  # Gx / Rx
-    "OpenFlow": ChannelSpec(delay=0.001, bandwidth=100e6),  # controller
-    "X2AP": ChannelSpec(delay=0.002, bandwidth=50e6),     # eNB <-> eNB
-}
-
 #: Spec used for messages whose protocol has no registered transport.
 FALLBACK_SPEC = ChannelSpec(delay=0.0015, bandwidth=20e6)
 
@@ -216,17 +204,15 @@ class SignallingFabric:
     The network builder opens the topologically meaningful channels
     (per-cell RRC, per-eNodeB S1-MME, S11, S5-C, Gx, Rx, per-switch
     OpenFlow); unknown sender/receiver pairs fall back to a lazily
-    created ad-hoc channel with that protocol's default spec, so a
+    created ad-hoc channel with that protocol's spec, so a
     procedure can always make progress.
     """
 
     def __init__(self, sim: "Simulator", ledger: ControlLedger,
-                 specs: Optional[dict[str, ChannelSpec]] = None) -> None:
+                 specs: dict[str, ChannelSpec]) -> None:
         self.sim = sim
         self.ledger = ledger
-        self.specs = dict(DEFAULT_TRANSPORTS)
-        if specs:
-            self.specs.update(specs)
+        self.specs = specs
         self.channels: dict[str, SignallingChannel] = {}
         self.messages_sent = 0
         self.retransmissions = 0
@@ -356,7 +342,7 @@ class SignallingFabric:
         return future
 
     def send_reliable(self, mtype: MessageType, sender: str, receiver: str,
-                      policy: Optional[RetryPolicy] = None,
+                      policy: RetryPolicy,
                       on_deliver: Optional[Callable[[ControlMessage],
                                                     None]] = None,
                       telemetry: Any = None, **fields) -> Future:
@@ -367,12 +353,8 @@ class SignallingFabric:
         transmissions have all timed out.  ``telemetry`` (typically a
         :class:`~repro.epc.procedures.ProcedureResult`) accumulates
         ``retries`` / ``timer_expiries`` counts and rides along in the
-        timeout exception.  With ``policy=None`` this degrades to the
-        legacy unguarded :meth:`send`.
+        timeout exception.
         """
-        if policy is None:
-            return self.send(mtype, sender, receiver,
-                             on_deliver=on_deliver, **fields)
         transfer = _ReliableTransfer(self, mtype, sender, receiver,
                                      policy, on_deliver, telemetry, fields)
         transfer.send_attempt()

@@ -121,8 +121,8 @@ class SiteMatcherService:
         return float(np.percentile(self.latencies, 99)) * 1e3
 
     def load(self) -> float:
-        """0..1 pressure signal for load-aware admission: 0 when idle,
-        1 when the queue is at the shedding threshold."""
+        """0..1 matcher-queue pressure: 0 when idle, 1 when the queue
+        is at the shedding threshold."""
         if self.max_queue <= 0:
             return 0.0
         return min(1.0, len(self._queue) / self.max_queue)

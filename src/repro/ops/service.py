@@ -3,9 +3,7 @@
 :class:`OpsService` compiles a scenario document into a
 :class:`~repro.scenario.runtime.ScenarioRun` and layers the operator
 machinery on top: per-site simulated matcher fleets fed by the diurnal
-load generator, the telemetry streamer, the autoscaler, and (when
-admission control is enabled on the EPC) a load-aware admission signal
-that sheds new GBR bearers from overloaded sites.
+load generator, the telemetry streamer and the autoscaler.
 
 Two drive modes share identical sim-time behaviour:
 
@@ -97,9 +95,6 @@ class OpsService:
                                        end=self.run.end_time)
         self.autoscaler = Autoscaler(ctx, self.services,
                                      self.config.autoscaler)
-        admission = network.control_plane.admission
-        if admission is not None:
-            admission.set_load_signal(self.site_pressure)
 
         # everything ops schedules is a sim event: identical under
         # batch and paced drive modes
@@ -113,13 +108,6 @@ class OpsService:
         self._milestone = 0
         self._finished = False
         self.server: Optional[ControlServer] = None
-
-    # -- load signal -------------------------------------------------------
-
-    def site_pressure(self, site_name: str) -> float:
-        """0..1 matcher-queue pressure (the admission load signal)."""
-        svc = self.services.get(site_name)
-        return svc.load() if svc is not None else 0.0
 
     # -- drive modes -------------------------------------------------------
 
@@ -162,7 +150,6 @@ class OpsService:
         metrics = self.run.collect()
         dropped = (metrics["attached"] - metrics["sessions_alive"]
                    if self.run.path == "edge" else 0)
-        admission = self.run.network.control_plane.admission
         ops = {
             "ci_sessions_dropped": dropped,
             "scale_ups": self.autoscaler.scale_ups,
@@ -179,8 +166,6 @@ class OpsService:
             "attach_success_rate": self.telemetry.attach_success_rate(),
             "live_faults_injected": sum(i.injected
                                         for i in self._live_injectors),
-            "rejected_overload": (admission.rejected_overload
-                                  if admission is not None else 0),
             "telemetry_records": self.telemetry.records,
             "telemetry_digest": self.telemetry.digest(),
         }
@@ -226,22 +211,13 @@ class OpsService:
     def _rpc_site_load(self, site: Optional[str] = None) -> dict:
         sites = ([site] if site is not None
                  else sorted(self.services))
-        admission = self.run.network.control_plane.admission
         out = {}
         for name in sites:
             svc = self.services.get(name)
             if svc is None:
                 raise ValueError(f"no such edge site {name!r}; sites: "
                                  f"{sorted(self.services)}")
-            entry: dict[str, Any] = {"matcher": svc.gauges(),
-                                     "pressure": svc.load()}
-            if admission is not None:
-                try:
-                    entry["admission"] = \
-                        admission.site_load(name).to_dict()
-                except KeyError:
-                    pass        # no GBR pool registered for this site
-            out[name] = entry
+            out[name] = {"matcher": svc.gauges(), "pressure": svc.load()}
         return out
 
     def _rpc_attach_ue(self, enb: str = "enb0") -> dict:

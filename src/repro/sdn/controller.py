@@ -27,7 +27,7 @@ from repro.sdn.openflow import FlowRule
 from repro.sdn.switch import FlowSwitch
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.epc.signalling import SignallingFabric
+    from repro.epc.signalling import RetryPolicy, SignallingFabric
     from repro.sim.engine import Future
 
 #: Fallback OpenFlow message sizes for switches outside the calibrated
@@ -46,23 +46,25 @@ class SdnController:
         self.switches: dict[str, FlowSwitch] = {}
         self.flow_mods_sent = 0
         self._fabric: Optional["SignallingFabric"] = None
-        #: retransmission policy for fabric-bound flow-mods (set by the
-        #: control plane; None = unguarded sends).  Retried flow-mods
-        #: are idempotent: the fabric suppresses duplicate deliveries,
-        #: so a rule is applied to the switch exactly once.
-        self.retry_policy = None
+        #: retransmission policy for fabric-bound flow-mods (set with
+        #: the fabric).  Retried flow-mods are idempotent: the fabric
+        #: suppresses duplicate deliveries, so a rule is applied to the
+        #: switch exactly once.
+        self.retry_policy: Optional["RetryPolicy"] = None
 
-    def bind_fabric(self, fabric: "SignallingFabric") -> None:
+    def bind_fabric(self, fabric: "SignallingFabric",
+                    retry_policy: "RetryPolicy") -> None:
         """Route flow-mods over the signalling fabric from now on.
 
         Opens one OpenFlow channel per registered switch (and per
         switch registered later), so controller-to-switch latency and
         queueing are part of every procedure that programs the data
-        plane.
+        plane; each flow-mod is retransmitted per ``retry_policy``.
         """
         if fabric.ledger is not self.ledger:
             raise ValueError("controller and fabric must share one ledger")
         self._fabric = fabric
+        self.retry_policy = retry_policy
         for switch in self.switches.values():
             self._open_channel(switch)
 

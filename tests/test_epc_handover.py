@@ -74,12 +74,6 @@ class TestHandover:
         with pytest.raises(ValueError, match=r"enb0.*enb1"):
             network.handover(ue, "enb7")
 
-    def test_s1_handover_unknown_target_raises(self, network):
-        ue = network.add_ue()
-        with pytest.raises(ValueError,
-                           match=r"unknown target eNodeB 'enb9'"):
-            network.s1_handover(ue, "enb9")
-
     def test_handover_message_mix(self, network):
         ue = network.add_ue()
         result = network.handover(ue, "enb1")
@@ -155,44 +149,3 @@ class TestHandover:
         server.send("net", packet)
         network.sim.run(until=network.sim.now + 1.0)
         assert len(replies) == 1
-
-
-class TestS1Handover:
-    def test_s1_handover_moves_context_and_traffic(self, network):
-        ue = network.add_ue()
-        result = network.s1_handover(ue, "enb1")
-        assert result.name == "s1-handover"
-        assert network.mme.context(ue.imsi).enb.name == "enb1"
-        replies = []
-        ue.on_downlink = replies.append
-        internet = network.servers["internet"]
-        ue.send_app(Packet(src=ue.ip, dst=internet.ip, size=100,
-                           created_at=network.sim.now))
-        network.sim.run(until=1.0)
-        assert len(replies) == 1
-
-    def test_s1_costs_more_signalling_than_x2(self, network):
-        ue1 = network.add_ue()
-        ue2 = network.add_ue()
-        x2 = network.handover(ue1, "enb1")
-        s1 = network.s1_handover(ue2, "enb1")
-        assert s1.message_count > x2.message_count
-        assert s1.byte_count > x2.byte_count
-        # both ways, MME coordination replaces the X2 messages
-        assert all(msg.protocol != "X2AP" for msg in s1.messages)
-
-    def test_s1_noop_and_idle_guard(self, network):
-        ue = network.add_ue()
-        assert network.s1_handover(ue, "enb0").message_count == 0
-        network.control_plane.release_to_idle(ue)
-        with pytest.raises(RuntimeError):
-            network.s1_handover(ue, "enb1")
-
-    def test_mec_bearer_survives_s1_handover(self, network):
-        ue = network.add_ue()
-        network.create_mec_bearer(ue, "ar-server")
-        network.s1_handover(ue, "enb1")
-        pinger = Pinger(network, ue, "ar-server", interval=0.1)
-        pinger.run(count=8, start=network.sim.now)
-        network.sim.run(until=network.sim.now + 2.0)
-        assert len(pinger.rtts) == 8

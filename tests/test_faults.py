@@ -10,7 +10,8 @@ when it is on, and only the legacy no-policy fabric can deadlock
 
 import pytest
 
-from repro.core.config import NetworkConfig, ResilienceConfig
+from repro.core.config import (NetworkConfig, ResilienceConfig,
+                               SignallingConfig)
 from repro.core.events import SessionDegraded, SessionRestored
 from repro.core.mrs import MecRegistrationServer
 from repro.core.network import MobileNetwork
@@ -23,7 +24,7 @@ from repro.faults import (ChannelDelaySpike, ChannelLoss, EntityCrash,
                           EntityRestart, FaultCleared, FaultInjected,
                           FaultInjector, FaultPlan, LinkDown, LinkFlap,
                           McServerOutage)
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.hooks import PacketDropped
 
 
@@ -171,16 +172,10 @@ class TestSignallingUnderLoss:
         assert ue.attach_result.retries == 1
         assert network.fabric.retransmissions == 1
 
-    def test_legacy_fabric_deadlocks_and_engine_detects_it(self):
-        network = build()
-        network.control_plane.retry_policy = None    # pre-resilience mode
-        lossy(network)
-        with pytest.raises(SimulationError, match="deadlock"):
-            network.add_ue()
-
     def test_timeout_rejection_propagates_through_generators(self):
         sim = Simulator()
-        fabric = SignallingFabric(sim, ControlLedger())
+        fabric = SignallingFabric(sim, ControlLedger(),
+                              SignallingConfig().transports())
         fabric.open_channel("s11", "GTPv2", ["mme"], ["sgw-c"])
         fabric.add_perturbation("*", ChannelPerturbation(
             kind="loss", rate=1.0, rng=_always()))
@@ -197,7 +192,8 @@ class TestSignallingUnderLoss:
 
     def test_delay_spike_duplicate_is_suppressed(self):
         sim = Simulator()
-        fabric = SignallingFabric(sim, ControlLedger())
+        fabric = SignallingFabric(sim, ControlLedger(),
+                              SignallingConfig().transports())
         fabric.open_channel("s11", "GTPv2", ["mme"], ["sgw-c"])
         # every delivery held back past the retransmission timer: the
         # original and the retry both arrive, the second is a duplicate

@@ -126,8 +126,7 @@ def test_sim_is_fully_self_contained():
 #: Event-queue internals: the tuple heap, the now lane, the
 #: unvalidated internal arm path and the event pool are private to
 #: ``repro.sim``.  Everything else must go through
-#: ``Simulator.schedule()`` / ``SimConfig.build_simulator()`` /
-#: ``Simulator.profile()``.
+#: ``Simulator()`` / ``Simulator.schedule()`` / ``Simulator.profile()``.
 SCHEDULER_INTERNALS = {"_heap", "_now_lane", "_schedule_internal", "_pool"}
 
 

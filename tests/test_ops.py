@@ -542,24 +542,56 @@ def run_soak(scenario, duration=40.0):
     return summary, service.metrics_digest(summary)
 
 
-def test_batch_soak_is_byte_deterministic(soak_scenario):
-    first, first_digest = run_soak(soak_scenario)
-    second, second_digest = run_soak(soak_scenario)
+@pytest.fixture(scope="module")
+def soak_run(soak_scenario):
+    """One batch soak per length, shared by the tests that only read it
+    (the 600 s day costs ~0.6 s a run)."""
+    runs = {}
+
+    def get(duration=40.0):
+        if duration not in runs:
+            runs[duration] = run_soak(soak_scenario, duration)
+        return runs[duration]
+    return get
+
+
+#: Soak lengths (simulated seconds) -> the scale-downs each must show:
+#: 40 s ends before the diurnal trough, the compressed 600 s day does
+#: not.
+SOAK_SCALE_DOWNS = {40.0: 0, 600.0: 1}
+SOAK_LENGTHS = pytest.mark.parametrize("duration", sorted(SOAK_SCALE_DOWNS),
+                                       ids=lambda d: f"{d:.0f}s")
+
+
+@SOAK_LENGTHS
+def test_batch_soak_is_byte_deterministic(soak_scenario, soak_run,
+                                          duration):
+    first, first_digest = soak_run(duration)
+    second, second_digest = run_soak(soak_scenario, duration)
     assert (first["ops"]["telemetry_digest"]
             == second["ops"]["telemetry_digest"])
     assert first_digest == second_digest
     assert first == second
+    # every CI session survives the day, and the autoscaler acts
+    ops = first["ops"]
+    assert ops["ci_sessions_dropped"] == 0
+    assert first["session_failures"] == 0
+    assert first["sessions_alive"] == first["attached"] > 0
+    assert ops["scale_ups"] >= 1
+    assert ops["scale_downs"] >= SOAK_SCALE_DOWNS[duration]
 
 
-def test_ops_runtime_does_not_perturb_the_scenario(soak_scenario):
+@SOAK_LENGTHS
+def test_ops_runtime_does_not_perturb_the_scenario(soak_scenario, soak_run,
+                                                   duration):
     """The operator layer is a pure observer: the scenario metrics are
     those of the plain batch run (bar the event count)."""
     from repro.scenario.runtime import execute
 
-    summary, _ = run_soak(soak_scenario)
+    summary, _ = soak_run(duration)
     trial = soak_scenario.compile().trials()[0]
     trial = dataclasses.replace(
-        trial, params=trial.params + (("duration", 40.0),))
+        trial, params=trial.params + (("duration", duration),))
     reference = execute(trial)
     shared = {k: v for k, v in summary.items()
               if k not in ("ops", "events_run")}
@@ -568,8 +600,8 @@ def test_ops_runtime_does_not_perturb_the_scenario(soak_scenario):
     assert summary["events_run"] > reference["events_run"]
 
 
-def test_seed_override_changes_the_digest(soak_scenario):
-    base, base_digest = run_soak(soak_scenario)
+def test_seed_override_changes_the_digest(soak_scenario, soak_run):
+    base, _ = soak_run()
     service = OpsService(soak_scenario, seed=123, duration=40.0)
     other = service.run_batch()
     assert (other["ops"]["telemetry_digest"]

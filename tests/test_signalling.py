@@ -21,7 +21,8 @@ def build(seed=0, **cfg):
 
 def test_send_resolves_with_delivered_message():
     sim = Simulator()
-    fabric = SignallingFabric(sim, ControlLedger())
+    fabric = SignallingFabric(sim, ControlLedger(),
+                              SignallingConfig().transports())
     fabric.open_channel("s1mme.enb0", "SCTP", ["enb0"], ["mme"])
     mtype = MessageType("SCTP", "Probe", 164)
 
@@ -37,7 +38,8 @@ def test_send_resolves_with_delivered_message():
 
 def test_unknown_pair_gets_adhoc_channel():
     sim = Simulator()
-    fabric = SignallingFabric(sim, ControlLedger())
+    fabric = SignallingFabric(sim, ControlLedger(),
+                              SignallingConfig().transports())
     mtype = MessageType("X2AP", "HandoverRequest", 96)
 
     def proc():

@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from repro.core.config import SimConfig
+from repro.core.config import DATA_PLANES, NetworkConfig, SimConfig
+from repro.core.network import MobileNetwork
 from repro.sim.engine import (COMPACT_FLOOR, POOL_CAP, SimulationError,
                               Simulator)
 
@@ -308,9 +309,13 @@ def test_next_event_time_is_the_earlier_head():
 # ---------------------------------------------------------------------------
 
 def test_sim_config_builds_simulator():
-    sim = SimConfig().build_simulator()
-    assert isinstance(sim, Simulator)
-    assert sim.pending == 0 and sim.events_run == 0
+    # the network's SimContext builds one fresh Simulator per run,
+    # whichever data plane the SimConfig selects
+    for plane in DATA_PLANES:
+        config = NetworkConfig(sim=SimConfig(data_plane=plane))
+        network = MobileNetwork(config)
+        assert isinstance(network.sim, Simulator)
+        assert network.sim.pending == 0 and network.sim.events_run == 0
 
 
 def test_cancelled_timers_cost_no_execution():

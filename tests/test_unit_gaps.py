@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import NetworkConfig
 from repro.epc import messages as m
-from repro.epc.charging import UsageCollector
 from repro.epc.messages import (REESTABLISH_SEQUENCE, RELEASE_SEQUENCE,
                                 ControlMessage)
 from repro.epc.overhead import ControlLedger
@@ -84,17 +83,6 @@ class TestNetworkConfig:
         # the paper's ratios: ~70 ms vs <15 ms RTT
         assert 2 * cloud > 0.06
         assert 2 * mec < 0.015
-
-
-class TestUsageCollectorParsing:
-    def test_cookie_parsing(self):
-        parse = UsageCollector._parse_cookie
-        assert parse("imsi123:ebi6:ul") == ("imsi123", 6, "ul")
-        assert parse("imsi123:ebi6:dl") == ("imsi123", 6, "dl")
-        assert parse("bg") is None
-        assert parse("a:b:c") is None
-        assert parse("a:ebiX:ul") is None
-        assert parse("sgi-route:imsi:srv") is None
 
 
 class TestEngineDrain:
