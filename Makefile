@@ -5,7 +5,7 @@ PYTHON ?= python
 .PHONY: test lint perfbench-selftest bench bench-resilience examples quick exp-smoke scenario-validate all clean-results
 
 test:
-	$(PYTHON) -m pytest tests/ -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
 
 lint:   ## same gate as CI (needs ruff on PATH: pip install ruff)
 	ruff check src/ tests/ benchmarks/ tools/ examples/
@@ -25,22 +25,22 @@ scenario-validate:   ## validate the whole scenario catalogue, then run the CI s
 	PYTHONPATH=src $(PYTHON) -m repro scenario run quick_test --serial --output /tmp/quick_test_result.json
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 bench-resilience:   ## chaos sweep: control-plane success under signalling loss
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience_chaos.py --benchmark-only -q
 
 quick:   ## tests + the sub-second benchmarks only
-	$(PYTHON) -m pytest tests/ -q
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q \
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -q \
 	    --ignore=benchmarks/test_fig3g_background_traffic.py \
 	    --ignore=benchmarks/test_fig10a_qci_rtt.py \
 	    --ignore=benchmarks/test_fig10b_isolation.py
 
-examples:
+examples:   ## run every example script end to end
 	@for script in examples/*.py; do \
 	    echo "=== $$script ==="; \
-	    $(PYTHON) $$script || exit 1; \
+	    PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 
 all: test bench examples

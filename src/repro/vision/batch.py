@@ -12,15 +12,16 @@ The stages run batched across the whole candidate set, around a
 certified screen:
 
 * all candidate descriptors are stacked into one ``(R_total, d)``
-  matrix with per-object segment offsets, plus a float32 copy carrying
-  an extra all-ones column, so each frame costs **one** float32 GEMM
-  producing the *biased* similarities ``dot + 1 >= 0`` against the
+  matrix with per-object segment offsets, plus a *position-major*
+  float32 copy whose row ``j * n_obj + k`` is descriptor ``j`` of
+  object ``k`` (short segments padded with whole rows), so each frame
+  costs **one** float32 GEMM producing the similarities against the
   whole candidate set;
-* because the biased similarities are non-negative, their IEEE-754
-  bit patterns order like integers, and segment-wise max reductions
-  run on an ``int32`` view (measurably faster than float reductions);
-  two half-segment maxima give the best similarity and a lower bound
-  on the second best per (query, object) lane;
+* in that layout the descriptors at one segment position form one
+  contiguous ``(n_obj, Q)`` plane of the similarity matrix, so the
+  segment-wise maxima are elementwise maxima over planes; two
+  half-segment maxima give the best similarity and a lower bound on
+  the second best per (query, object) lane;
 * lanes whose ratio test provably fails under a rigorous float32
   error bound (the overwhelming majority) are rejected wholesale; the
   surviving lanes get an exact float32 2-NN from gathered rows, and
@@ -69,10 +70,10 @@ class MatchOutcome:
     stage_reached: str = "ratio"     # ratio -> symmetry -> ransac -> accept
 
 
-#: Sentinel for padded (out-of-segment) columns of the biased
-#: similarity matrix.  Biased similarities are ``dot + 1 in [0, 2]``;
-#: -1 is strictly below every real value, so padding never wins a max.
-_PAD_SENTINEL = np.float32(-1.0)
+#: Sentinel for padded (out-of-segment) rows of the similarity matrix.
+#: Similarities of unit-norm descriptors lie in ``[-1, 1]``; -2 is
+#: strictly below every real value, so padding never wins a max.
+_PAD_SENTINEL = np.float32(-2.0)
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,17 @@ class CandidateStack:
 
     names: tuple[str, ...]              # canonical (sorted) order
     descriptors: np.ndarray             # (R_total, d) float64, C-contiguous
-    screen_desc: np.ndarray             # (d + 1, R_total) float32, already
-                                        # transposed for an NN GEMM, with a
-                                        # trailing all-ones row so
-                                        # ``frame32 @ screen_desc`` yields
-                                        # the biased similarities dot + 1
+    screen_desc: np.ndarray             # (max_r * n_obj, d) float32,
+                                        # position-major: row j * n_obj + k
+                                        # is descriptor j of object k, zero
+                                        # past the segment's end
     keypoints: tuple[np.ndarray, ...]   # per object, canonical order
     starts: np.ndarray                  # (n_obj,) segment start offsets
     sizes: np.ndarray                   # (n_obj,) descriptor counts
-    pad_gather: np.ndarray              # (n_obj, max_r) column gather into
-                                        # the biased similarity matrix
-                                        # extended by one sentinel column
-                                        # at index R_total
+    pad_rows: np.ndarray                # ids of the screen_desc rows past
+                                        # their segment's end (empty when
+                                        # all segments have one size)
     index: dict[str, int]               # name -> canonical position
-    uniform: bool                       # all segments the same size
     lone_mask: np.ndarray               # (n_obj,) True where size < 2
 
     @property
@@ -111,7 +109,7 @@ class CandidateStack:
     def nbytes(self) -> int:
         """Approximate memory footprint of the cached arrays."""
         return int(self.descriptors.nbytes + self.screen_desc.nbytes
-                   + self.pad_gather.nbytes + self.starts.nbytes
+                   + self.pad_rows.nbytes + self.starts.nbytes
                    + self.sizes.nbytes)
 
     @classmethod
@@ -130,24 +128,20 @@ class CandidateStack:
                 dtype=np.float64)
         else:
             descriptors = np.zeros((0, 64), dtype=np.float64)
-        dim = descriptors.shape[1]
-        screen_desc = np.empty((dim + 1, total), dtype=np.float32)
-        screen_desc[:dim] = descriptors.T
-        screen_desc[dim] = 1.0
-        max_r = int(sizes.max()) if len(sizes) else 0
-        # padding targets the sentinel column appended at index `total`
-        pad_gather = np.full((len(ordered), max(max_r, 1)), total,
-                             dtype=np.intp)
+        n, dim = len(ordered), descriptors.shape[1]
+        max_r = int(sizes.max()) if n else 0
+        screen_desc = np.zeros((max_r, n, dim), dtype=np.float32)
         for k, (start, size) in enumerate(zip(starts, sizes)):
-            pad_gather[k, :size] = np.arange(start, start + size)
+            screen_desc[:size, k] = descriptors[start:start + size]
+        pad_rows = np.flatnonzero(np.arange(max_r)[:, None] >= sizes)
         keypoints = tuple(np.ascontiguousarray(m.keypoints, dtype=np.float64)
                           for m in ordered)
-        uniform = bool(len(sizes)) and int(sizes.min()) == max_r
         return cls(names=names, descriptors=descriptors,
-                   screen_desc=screen_desc, keypoints=keypoints,
-                   starts=starts, sizes=sizes, pad_gather=pad_gather,
+                   screen_desc=screen_desc.reshape(max_r * n, dim),
+                   keypoints=keypoints, starts=starts, sizes=sizes,
+                   pad_rows=pad_rows,
                    index={name: k for k, name in enumerate(names)},
-                   uniform=uniform, lone_mask=sizes < 2)
+                   lone_mask=sizes < 2)
 
 
 class CandidateMatrixCache:
@@ -247,12 +241,13 @@ class BatchObjectMatcher:
     SCREEN_MIN_DESCRIPTORS = 512
     SCREEN_MIN_QUERIES = 4
 
-    #: Certified bound on ``|float32 biased similarity - exact|``.  The
-    #: worst case for 65-term float32 dot products of unit-norm inputs
-    #: is ~1e-5 (n*u*sum|x_i y_i| with u = 2^-24); 5e-5 leaves a 5x
-    #: safety factor.  Only *rejections* ride on this bound alone; any
-    #: lane within ``(1 + ratio) * epsilon`` of the ratio threshold is
-    #: re-derived in float64.
+    #: Certified bound on ``|float32 similarity - exact|``.  The worst
+    #: case for 64-term float32 dot products of unit-norm inputs, input
+    #: rounding included, is ~4e-6 ((n + 2)*u*sum|x_i y_i| with
+    #: u = 2^-24); 5e-5 leaves over a 10x safety factor.  Only
+    #: *rejections* ride on this bound alone; any lane within
+    #: ``(1 + ratio) * epsilon`` of the ratio threshold is re-derived in
+    #: float64.
     SCREEN_EPSILON = 5e-5
 
     def __init__(self, ratio_threshold: float = 0.75,
@@ -271,6 +266,7 @@ class BatchObjectMatcher:
         self.min_inliers = min_inliers
         self.rng = rng if rng is not None else np.random.default_rng(1234)
         self.cache = cache if cache is not None else CandidateMatrixCache()
+        # reused float32 GEMM output and operand buffers, by shape
         self._sim_buffers: dict[tuple[int, int], np.ndarray] = {}
         self._frame_buffers: dict[tuple[int, int], np.ndarray] = {}
         self._aranges: dict[int, np.ndarray] = {}
@@ -336,15 +332,16 @@ class BatchObjectMatcher:
             self._aranges[n] = cached
         return cached
 
-    def _screen_buffer(self, q: int, total: int) -> np.ndarray:
-        """Reused float32 GEMM output buffer keyed by problem shape."""
-        key = (q, total)
-        buf = self._sim_buffers.get(key)
+    @staticmethod
+    def _buffer(buffers: dict[tuple[int, int], np.ndarray],
+                shape: tuple[int, int]) -> np.ndarray:
+        """Reused float32 scratch array of ``shape`` from ``buffers``."""
+        buf = buffers.get(shape)
         if buf is None:
-            if len(self._sim_buffers) >= 16:
-                self._sim_buffers.clear()
-            buf = np.empty((q, total), dtype=np.float32)
-            self._sim_buffers[key] = buf
+            if len(buffers) >= 16:
+                buffers.clear()
+            buf = np.empty(shape, dtype=np.float32)
+            buffers[shape] = buf
         return buf
 
     def _screen_rows(self, queries: np.ndarray, stack: CandidateStack
@@ -352,75 +349,55 @@ class BatchObjectMatcher:
         """Certified float32 screen over a stacked block of query rows.
 
         ``queries`` is a ``(Q, d)`` float64 block holding one or
-        several frames' descriptors.  Returns ``(rows, segs, margin)``
-        for the lanes that survive certified rejection: their
-        exact-float32 forward ratio-test margin is negative iff the
-        lane passes.  Lanes absent from the output are *certified*
-        ratio-test failures under :attr:`SCREEN_EPSILON`.
+        several frames' descriptors, screened against a stack whose
+        largest segment holds at least two descriptors.  Returns
+        ``(rows, segs, margin)`` for the lanes that survive certified
+        rejection: their exact-float32 forward ratio-test margin is
+        negative iff the lane passes.  Lanes absent from the output are
+        *certified* ratio-test failures under :attr:`SCREEN_EPSILON`.
         """
-        q, dim = queries.shape
+        q = queries.shape[0]
         n = len(stack.names)
-        total = stack.total_descriptors
+        r = stack.screen_desc.shape[0] // n
 
-        fkey = (q, dim + 1)
-        frame32 = self._frame_buffers.get(fkey)
-        if frame32 is None:
-            if len(self._frame_buffers) >= 16:
-                self._frame_buffers.clear()
-            frame32 = np.empty(fkey, dtype=np.float32)
-            self._frame_buffers[fkey] = frame32
-        frame32[:, :dim] = queries
-        frame32[:, dim] = 1.0
-        sim = self._screen_buffer(q, total)
-        np.matmul(frame32, stack.screen_desc, out=sim)  # biased: dot + 1
+        frame32 = self._buffer(self._frame_buffers, queries.shape)
+        frame32[...] = queries
+        sim = self._buffer(self._sim_buffers, (r * n, q))
+        np.matmul(stack.screen_desc, frame32.T, out=sim)
+        sim[stack.pad_rows] = _PAD_SENTINEL
+        lanes = sim.reshape(r, n, q)    # [segment position, object, query]
 
-        if stack.uniform:
-            padded = sim.reshape(q, n, -1)
-        else:
-            ext = np.concatenate(
-                [sim, np.full((q, 1), _PAD_SENTINEL)], axis=1)
-            padded = np.ascontiguousarray(ext[:, stack.pad_gather])
-        r = padded.shape[2]
-
-        # Segment max + a lower bound on the second max, per lane, via
-        # int32-ordered reductions (biased similarities are >= 0, so
-        # IEEE bit patterns order like integers; int32 max reductions
-        # are the fastest exact reduction this shape admits).  The two
-        # elements of each lane's half-split are an upper/lower pair:
-        # the larger is the exact segment max, the smaller is a true
-        # element outside the argmax position, hence <= the second max.
-        bits = padded.view(np.int32)
-        half = max(r // 2, 1)
-        if r == 2 * half:
-            pair = bits.reshape(q, n, 2, half).max(axis=3)
-            first, second = pair[..., 0], pair[..., 1]
-        else:
-            first = bits[:, :, :half].max(axis=2)
-            second = bits[:, :, half:].max(axis=2)
-        s1 = np.maximum(first, second).view(np.float32).astype(np.float64)
-        lo = np.minimum(first, second).view(np.float32).astype(np.float64)
+        # Segment max + a lower bound on the second max, per lane, as
+        # elementwise maxima over the two halves' position planes.  The
+        # two half maxima are an upper/lower pair: the larger is the
+        # exact segment max, the smaller is a true element outside the
+        # argmax position, hence <= the second max.
+        half = r // 2
+        first = lanes[:half].max(axis=0)
+        second = lanes[half:].max(axis=0)
+        s1 = np.maximum(first, second).astype(np.float64)
+        lo = np.minimum(first, second).astype(np.float64)
 
         # Certified rejection: true d1 >= ratio * d2 whenever the
-        # float32 evidence clears the error bound.  d = 2 - biased.
+        # float32 evidence clears the error bound.  d = 1 - similarity.
         eps = self.SCREEN_EPSILON
-        d1_lb = (2.0 - s1) - eps
-        d2_ub = (2.0 - lo) + eps
+        d1_lb = (1.0 - s1) - eps
+        d2_ub = (1.0 - lo) + eps
         certified_fail = d1_lb >= self.ratio_threshold * d2_ub
-        certified_fail[:, stack.lone_mask] = True   # lone-candidate policy
+        certified_fail[stack.lone_mask] = True      # lone-candidate policy
 
-        rows, segs = np.nonzero(~certified_fail)
+        segs, rows = np.nonzero(~certified_fail)
         if not rows.size:
             return rows, segs, np.empty(0, dtype=np.float64)
         # Exact float32 2-NN for the surviving lanes only (float64
-        # copies: float64 argmax is the fast path in this numpy build,
-        # and float32 values are exactly representable in float64).
-        sub = padded[rows, segs].astype(np.float64)      # (m, r) copies
+        # copies: float32 values are exactly representable in float64).
+        sub = lanes[:, segs, rows].astype(np.float64)    # (r, m) copies
         lane = self._arange(rows.size)
-        b1 = sub.argmax(axis=1)
-        v1 = sub[lane, b1].copy()
-        sub[lane, b1] = -1.0
-        v2 = sub.max(axis=1)
-        margin = (2.0 - v1) - self.ratio_threshold * (2.0 - v2)
+        b1 = sub.argmax(axis=0)
+        v1 = sub[b1, lane].copy()
+        sub[b1, lane] = _PAD_SENTINEL
+        v2 = sub.max(axis=0)
+        margin = (1.0 - v1) - self.ratio_threshold * (1.0 - v2)
         return rows, segs, margin
 
     def _screen_verdicts(self, queries: np.ndarray, stack: CandidateStack,

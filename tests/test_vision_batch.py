@@ -57,6 +57,15 @@ def random_models(rng, count, n_features=24, dim=64):
     return models
 
 
+def ragged_models(rng, sizes, dim=64):
+    """Random models with the given descriptor counts, one per size."""
+    return [ObjectModel(name=m.name, descriptors=m.descriptors[:size],
+                        keypoints=m.keypoints[:size], seed=m.seed)
+            for m, size in zip(random_models(rng, len(sizes),
+                                             n_features=max(sizes), dim=dim),
+                               sizes)]
+
+
 @pytest.fixture(scope="module")
 def store():
     scenario = store_scenario()
@@ -187,22 +196,33 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("screen", SCREEN_SIDES)
     def test_lone_descriptor_candidate_rejected_by_both(self, screen):
-        rng = np.random.default_rng(8)
-        models = random_models(rng, 3)
-        lone = ObjectModel(name="lone",
-                           descriptors=models[0].descriptors[:1],
-                           keypoints=models[0].keypoints[:1], seed=0)
-        extractor = FeatureExtractor(np.random.default_rng(2))
-        frame = extractor.frame_of(models[0], R480x360)
-        candidates = [lone] + models
-        reference = ObjectMatcher(rng=np.random.default_rng(3))
-        batch = batch_matcher(screen, rng=np.random.default_rng(3))
-        expected = [reference.match_one(frame, m) for m in candidates]
-        actual = batch.match_all(frame, candidates)
-        assert ([outcome_tuple(o) for o in actual]
-                == [outcome_tuple(o) for o in expected])
-        assert actual[0].good_matches == 0
-        assert not actual[0].accepted
+        # the lone candidate beside a uniform stack, and beside a ragged
+        # one of odd max_r (unequal half segments, padded rows) whose
+        # frame shows a padded object
+        for sizes, target in (((24, 24, 24), 0),
+                              ((3, 8, 17, 25, 25, 41), 2)):
+            models = ragged_models(np.random.default_rng(8), sizes)
+            lone = ObjectModel(name="lone",
+                               descriptors=models[0].descriptors[:1],
+                               keypoints=models[0].keypoints[:1], seed=0)
+            extractor = FeatureExtractor(np.random.default_rng(2))
+            frame = extractor.frame_of(models[target], R480x360)
+            candidates = [lone] + models
+            # the target's lanes survive the screen, so the exact
+            # float32 2-NN runs on its (possibly padded) segment
+            stack = CandidateStack.build(candidates)
+            _, segs, _ = BatchObjectMatcher()._screen_rows(
+                frame.descriptors, stack)
+            assert stack.index[models[target].name] in segs
+            reference = ObjectMatcher(rng=np.random.default_rng(3))
+            batch = batch_matcher(screen, rng=np.random.default_rng(3))
+            expected = [reference.match_one(frame, m) for m in candidates]
+            actual = batch.match_all(frame, candidates)
+            assert ([outcome_tuple(o) for o in actual]
+                    == [outcome_tuple(o) for o in expected])
+            assert actual[0].good_matches == 0
+            assert not actual[0].accepted
+            assert actual[1 + target].accepted
 
     def test_match_frames_equals_match_frame_when_no_lane_survives(self):
         # each candidate holds its descriptors twice, one copy per half
@@ -346,7 +366,6 @@ class TestCandidateStack:
         assert stack.total_descriptors == 30
         assert list(stack.sizes) == [10, 10, 10]
         assert list(stack.starts) == [0, 10, 20]
-        assert stack.uniform
         assert not stack.lone_mask.any()
         assert stack.names == tuple(sorted(m.name for m in models))
         for model in models:
@@ -355,22 +374,29 @@ class TestCandidateStack:
             np.testing.assert_array_equal(
                 stack.descriptors[start:start + 10], model.descriptors)
 
-    def test_screen_desc_carries_bias_row(self):
-        models = random_models(np.random.default_rng(1), 2, n_features=6,
-                               dim=8)
+    def test_screen_desc_is_position_major(self):
+        sizes = (6, 2, 5)
+        models = ragged_models(np.random.default_rng(1), sizes, dim=8)
         stack = CandidateStack.build(models)
-        assert stack.screen_desc.shape == (9, 12)
-        np.testing.assert_array_equal(stack.screen_desc[8],
-                                      np.ones(12, dtype=np.float32))
+        n, max_r = len(models), max(sizes)
+        assert stack.screen_desc.shape == (max_r * n, 8)
+        assert stack.screen_desc.dtype == np.float32
+        for model in models:
+            k = stack.index[model.name]
+            for j, row in enumerate(model.descriptors):
+                np.testing.assert_array_equal(stack.screen_desc[j * n + k],
+                                              row.astype(np.float32))
 
-    def test_ragged_segments_not_uniform(self):
-        models = random_models(np.random.default_rng(2), 2, n_features=8)
-        short = ObjectModel(name="short",
-                            descriptors=models[0].descriptors[:3],
-                            keypoints=models[0].keypoints[:3], seed=9)
-        stack = CandidateStack.build(models + [short])
-        assert not stack.uniform
-        assert stack.pad_gather.shape == (3, 8)
-        # padded columns of the short segment point at the sentinel
-        k = stack.index["short"]
-        assert (stack.pad_gather[k, 3:] == stack.total_descriptors).all()
+    def test_pad_rows_past_segment_ends(self):
+        sizes = (8, 3, 8, 1)
+        models = ragged_models(np.random.default_rng(2), sizes)
+        stack = CandidateStack.build(models)
+        n = len(models)
+        expected = sorted(j * n + stack.index[m.name]
+                          for m, size in zip(models, sizes)
+                          for j in range(size, max(sizes)))
+        assert stack.pad_rows.tolist() == expected
+        assert not stack.screen_desc[stack.pad_rows].any()
+        uniform = CandidateStack.build(random_models(
+            np.random.default_rng(3), 3, n_features=8))
+        assert uniform.pad_rows.size == 0
