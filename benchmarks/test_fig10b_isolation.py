@@ -12,7 +12,9 @@ flat at its low baseline.
 
 The measurement itself is the declarative ``fig10b`` preset (see
 :mod:`repro.exp.presets`) driven through the experiment runner, so
-``python -m repro exp run fig10b`` regenerates exactly these numbers.
+``python -m repro exp run fig10b`` regenerates exactly these numbers.  The
+trials run on two worker processes; the runner's output does not
+depend on the worker count.
 """
 
 import pytest
@@ -27,7 +29,7 @@ BG_RATES_MBPS = [0, 40, 80, 100]
 
 def test_fig10b_isolation(report, benchmark):
     spec = preset("fig10b")
-    outcome = ExperimentRunner(spec).run()
+    outcome = ExperimentRunner(spec, workers=2).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
     metrics = outcome.metrics_by("system", "bg_mbps")
 

@@ -8,7 +8,9 @@ saturate (~90-100 Mbps), then explodes towards seconds.
 
 The measurement itself is the declarative ``fig3g`` preset (see
 :mod:`repro.exp.presets`) driven through the experiment runner, so
-``python -m repro exp run fig3g`` regenerates exactly these numbers.
+``python -m repro exp run fig3g`` regenerates exactly these numbers.  The
+trials run on two worker processes; the runner's output does not
+depend on the worker count.
 """
 
 import pytest
@@ -21,7 +23,7 @@ BG_RATES_MBPS = [0, 40, 80, 90, 100]
 
 def test_fig3g_background_traffic(report, benchmark):
     spec = preset("fig3g")
-    outcome = ExperimentRunner(spec).run()
+    outcome = ExperimentRunner(spec, workers=2).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
     metrics = outcome.metrics_by("rtt_ms", "bg_mbps")
 

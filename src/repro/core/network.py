@@ -400,13 +400,12 @@ class MobileNetwork:
     def _attach_proc(self, ue: UEDevice, enb: ENodeB, radio_port: str):
         # IP allocation happens inside the procedure; the control plane
         # announces it (synchronously) as UeIpAssigned before validating
-        # the bearer, so a transient subscription registers the radio
-        # port at exactly the right moment
+        # the bearer, so a transient subscription keyed by this UE
+        # registers the radio port at exactly the right moment
         def register(event: UeIpAssigned) -> None:
-            if event.ue is ue:
-                enb.register_ue(event.address, radio_port)
+            enb.register_ue(event.address, radio_port)
 
-        subscription = self.hooks.on(UeIpAssigned, register)
+        subscription = self.hooks.on(UeIpAssigned, register, key=ue)
         try:
             result = yield self.control_plane.attach_async(ue, enb)
         finally:

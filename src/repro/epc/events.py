@@ -50,8 +50,11 @@ class UeIpAssigned:
 
     Emitted *before* bearer/tunnel setup so subscribers (e.g. the
     network fabric registering the UE's radio port) can react while the
-    attach procedure is still wiring the data path.
+    attach procedure is still wiring the data path.  Keyed by ``ue``,
+    so each pending attach subscribes for its own UE only.
     """
+
+    hook_key: ClassVar[str] = "ue"
 
     ue: "UEDevice"
     address: str

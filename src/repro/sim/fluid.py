@@ -54,6 +54,16 @@ hides:
   deterministic once a flow has crossed a near-saturated hop (a
   saturated server's departure process carries no burstiness).
 
+Only the backlog ``b`` moves between solves.  Everything else in the
+wait -- ``A_b``, the blocking share ``A_b / A`` of the backlog, the
+drain rate (``C``, ``C - A_b`` or starved), the stationary term and
+the full-buffer cap -- is constant until the next solve or attach, so
+each queue keeps a wait table keyed by packet priority (``None`` for
+FIFO): an entry is filled the first time a priority is asked after a
+solve, and the table is cleared by :meth:`FluidQueue.attach` and the
+rate solve.  A per-packet wait is then one backlog integration, one
+dict probe and a few float operations.
+
 The deliberate limitation: a fluid flow's *mean* backlog below
 saturation is zero, so the stationary term is a correction, not a
 distribution -- percentiles of per-packet delay under near-critical
@@ -157,6 +167,9 @@ class FluidQueue:
         self._vars = np.zeros(0)
         self._priorities = np.zeros(0, dtype=int)
         self._upp = np.zeros(0)
+        # priority (None: FIFO) -> (blocking, share, drain, stationary,
+        # cap), valid until the next attach or solve
+        self._waits: dict[Optional[int], tuple] = {}
         self._t = sim.now
         self._flush_event: Optional["Event"] = None
 
@@ -170,6 +183,7 @@ class FluidQueue:
         self._upp = np.array([e.upp for e in self._entries])
         self._rates = np.zeros(len(self._entries))
         self._vars = np.ones(len(self._entries))
+        self._waits.clear()
         return entry
 
     # -- piecewise-linear state -------------------------------------------
@@ -241,35 +255,44 @@ class FluidQueue:
         drains at the residual rate left over by their arrivals.
         """
         self.advance(now)
-        if not self._entries:
+        terms = self._waits.get(priority)
+        if terms is None:
+            terms = self._fill_waits(priority)
+        blocking, share, drain, stationary, cap = terms
+        backlog = self.backlog
+        if blocking <= 0.0 and backlog <= 0.0:
             return 0.0
-        rates = self._rates
+        if drain is None:
+            wait = float("inf")         # starved; capped below
+        else:
+            wait = backlog * share / drain
+        wait += stationary
+        if cap is not None:
+            wait = min(wait, cap)
+        return wait
+
+    def _fill_waits(self, priority: Optional[int]) -> tuple:
+        """The solve-constant terms of :meth:`packet_wait` for one
+        priority, stored in the wait table."""
         total = self.in_rate
         if priority is None:
             mask = None
             blocking = total
         else:
             mask = self._priorities <= priority
-            blocking = float(rates[mask].sum())
-        if blocking <= 0.0 and self.backlog <= 0.0:
-            return 0.0
+            blocking = float(self._rates[mask].sum())
         capacity = self.capacity
-        if total > 0.0:
-            backlog = self.backlog * (blocking / total)
-        else:
-            backlog = self.backlog
+        share = blocking / total if total > 0.0 else 1.0
         if priority is None:
-            wait = backlog / capacity
+            drain = capacity
         else:
             residual = capacity - blocking
-            if residual > capacity * 1e-9:
-                wait = backlog / residual
-            else:
-                wait = float("inf")     # starved; capped below
-        wait += self._stationary_wait(mask, blocking)
-        if self.buffer is not None:
-            wait = min(wait, self.buffer / capacity)
-        return wait
+            drain = residual if residual > capacity * 1e-9 else None
+        cap = self.buffer / capacity if self.buffer is not None else None
+        terms = (blocking, share, drain,
+                 self._stationary_wait(mask, blocking), cap)
+        self._waits[priority] = terms
+        return terms
 
     def _stationary_wait(self, mask, blocking: float) -> float:
         """M/D/1-style mean-queue correction for the fluid's hidden
@@ -405,6 +428,7 @@ class FluidDomain:
         for queue in queues:
             queue.in_rate = agg[id(queue)]
             queue.share = shares[id(queue)]
+            queue._waits.clear()
         for flow in self.flows:
             rate = flow.rate / 8.0 if flow.active else 0.0
             var = 1.0
@@ -575,7 +599,6 @@ class FluidLink(Link):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._fluid_by_dir: dict[int, FluidQueue] = {}
         self._fluid_domain: Optional[FluidDomain] = None
 
     # -- fluid wiring -----------------------------------------------------
@@ -587,7 +610,7 @@ class FluidLink(Link):
             raise ValueError(
                 f"{sender!r} is not attached to link {self.name}")
         self._fluid_domain = flow.domain
-        queue = self._fluid_by_dir.get(id(direction))
+        queue = direction._fluid
         if queue is None:
             queue = FluidQueue(
                 self.sim, capacity=direction.bandwidth,
@@ -595,7 +618,7 @@ class FluidLink(Link):
                 name=f"{self.name}:{sender.name}")
             queue.up = self.up
             queue.drop_emitter = self._make_drop_emitter(direction, sender)
-            self._fluid_by_dir[id(direction)] = queue
+            direction._fluid = queue
         priority = (self.priority_of_qci(flow.qci) if self.qos_priority
                     else _BEST_EFFORT_PRIORITY)
         return queue, priority
@@ -606,7 +629,8 @@ class FluidLink(Link):
         return self._qci_priorities.get(qci, _BEST_EFFORT_PRIORITY)
 
     def fluid_queues(self) -> tuple[FluidQueue, ...]:
-        return tuple(self._fluid_by_dir.values())
+        return tuple(d._fluid for d in self._directions.values()
+                     if d._fluid is not None)
 
     def _make_drop_emitter(self, direction: "_Direction",
                            sender: "Node"):
@@ -632,27 +656,27 @@ class FluidLink(Link):
     # -- state changes ----------------------------------------------------
 
     def set_up(self, up: bool) -> None:
-        if up == self.up or not self._fluid_by_dir:
+        if up == self.up or self._fluid_domain is None:
             super().set_up(up)
             return
         # integrate fluid state under the old link state first, then
         # flip and re-solve every rate that crosses this link
         now = self.sim.now
-        for queue in self._fluid_by_dir.values():
+        queues = self.fluid_queues()
+        for queue in queues:
             queue.advance(now)
         super().set_up(up)
-        for queue in self._fluid_by_dir.values():
+        for queue in queues:
             queue.up = up
-        if self._fluid_domain is not None:
-            self._fluid_domain.resolve()
+        self._fluid_domain.resolve()
 
     # -- per-packet data path ---------------------------------------------
 
     def transmit(self, sender: "Node", packet: Packet) -> None:
         direction = self._directions.get(id(sender))
         if direction is not None and self.up:
-            queue = self._fluid_by_dir.get(id(direction))
-            if queue is not None and queue._entries:
+            queue = direction._fluid
+            if queue is not None:
                 # the fluid backlog occupies the same drop-tail buffer
                 queue.advance(self.sim.now)
                 occupied = queue.backlog / 8.0 + direction.queued_bytes
@@ -665,8 +689,8 @@ class FluidLink(Link):
     def _transmit_packet(self, direction: "_Direction", packet: Packet,
                          wire_size: int) -> None:
         wait = 0.0
-        queue = self._fluid_by_dir.get(id(direction))
-        if queue is not None and queue._entries:
+        queue = direction._fluid
+        if queue is not None:
             priority = (self.priority_of(packet) if self.qos_priority
                         else None)
             wait = queue.packet_wait(self.sim.now, priority=priority)

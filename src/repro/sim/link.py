@@ -59,6 +59,8 @@ class _Direction:
         self.drops = 0
         self.tx_packets = 0
         self.tx_bytes = 0
+        # the fluid queue sharing this direction (set by FluidLink)
+        self._fluid = None
         self._fifo: deque[Packet] = deque()
         self._prio_heap: list[tuple[int, int, Packet]] = []
         self._seq = itertools.count()

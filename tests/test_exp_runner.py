@@ -151,6 +151,17 @@ def test_pool_never_larger_than_the_trial_count(monkeypatch):
         ExperimentRunner(spec).run().canonical_json()
 
 
+def test_scale_preset_identical_for_one_and_two_workers():
+    """A real preset, not a test double: the ``scale`` attach storms
+    give byte-identical canonical output serially and on two worker
+    processes (the figure benchmarks rely on this to run in parallel)."""
+    spec = preset("scale")
+    serial = ExperimentRunner(spec, workers=1).run()
+    parallel = ExperimentRunner(spec, workers=2).run()
+    assert serial.ok and len(serial.trials) == 4
+    assert parallel.canonical_json() == serial.canonical_json()
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="test workloads reach workers only by fork")
 def test_worker_crash_breaks_the_pool_instead_of_hanging():

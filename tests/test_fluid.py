@@ -19,7 +19,8 @@ from repro.exp.workloads import run_ping
 from repro.faults import FaultInjector, FaultPlan, LinkFlap
 from repro.sim.context import SimContext
 from repro.sim.engine import Simulator
-from repro.sim.fluid import FluidDomain, FluidFlow, FluidLink, FluidQueue
+from repro.sim.fluid import (_STATIONARY_MAX, FluidDomain, FluidFlow,
+                             FluidLink, FluidQueue)
 from repro.sim.hooks import PacketDropped
 from repro.sim.link import Link
 from repro.sim.monitor import LatencyProbe, ThroughputMeter
@@ -267,6 +268,166 @@ def test_packet_wait_from_fluid_backlog():
     # fluid: capped at the full-buffer drain time
     assert queue.packet_wait(sim.now, priority=100) == pytest.approx(
         8.0, rel=1e-6)
+
+
+def reference_packet_wait(queue, now, priority=None):
+    """The per-packet wait without the wait table: masked numpy
+    reductions over the queue's entry arrays on every call."""
+    queue.advance(now)
+    if not queue._entries:
+        return 0.0
+    rates = queue._rates
+    total = queue.in_rate
+    if priority is None:
+        mask = None
+        blocking = total
+    else:
+        mask = queue._priorities <= priority
+        blocking = float(rates[mask].sum())
+    if blocking <= 0.0 and queue.backlog <= 0.0:
+        return 0.0
+    capacity = queue.capacity
+    if total > 0.0:
+        backlog = queue.backlog * (blocking / total)
+    else:
+        backlog = queue.backlog
+    if priority is None:
+        wait = backlog / capacity
+    else:
+        residual = capacity - blocking
+        if residual > capacity * 1e-9:
+            wait = backlog / residual
+        else:
+            wait = float("inf")
+    wait += reference_stationary_wait(queue, mask, blocking)
+    if queue.buffer is not None:
+        wait = min(wait, queue.buffer / capacity)
+    return wait
+
+
+def reference_stationary_wait(queue, mask, blocking):
+    if blocking <= 0.0:
+        return 0.0
+    if mask is None:
+        varying = float((queue._rates * queue._vars).sum())
+        pps = float((queue._rates / queue._upp).sum())
+    else:
+        varying = float((queue._rates * queue._vars)[mask].sum())
+        pps = float((queue._rates / queue._upp)[mask].sum())
+    if varying <= 0.0 or pps <= 0.0:
+        return 0.0
+    rho = blocking / queue.capacity
+    if rho >= 1.0:
+        factor = _STATIONARY_MAX
+    else:
+        factor = min(rho / (2.0 * (1.0 - rho)), _STATIONARY_MAX)
+    service = blocking / queue.capacity / pps
+    return (varying / blocking) * factor * service
+
+
+#: Priorities a packet may ask with: FIFO, better than, equal to and
+#: worse than the fluid entries' priorities (1, 5, 9, 100).
+ORACLE_PRIORITIES = (None, 0, 1, 3, 5, 9, 100, 200)
+
+
+def _oracle_world(rng):
+    """A random fluid world: a strict-priority link, a FIFO link, a
+    gateway CPU (unbounded FIFO) and an unbounded priority queue."""
+    sim = Simulator()
+    a, b, c = (Node(sim, n, ip=f"10.0.0.{i}")
+               for i, n in enumerate("abc", 1))
+    qos = FluidLink(sim, "qos", bandwidth=10e6, delay=0.001,
+                    queue_bytes=int(rng.integers(20_000, 200_000)),
+                    qos_priority=True)
+    fifo = FluidLink(sim, "fifo", bandwidth=8e6, delay=0.001,
+                     queue_bytes=int(rng.integers(20_000, 200_000)))
+    a.attach("out", qos)
+    b.attach("in", qos)
+    b.attach("out", fifo)
+    c.attach("in", fifo)
+    for qci, priority in ((1, 1), (5, 5), (9, 9)):
+        qos.set_qci_priority(qci, priority)
+    domain = FluidDomain(sim)
+    cpu = domain.cpu_queue("gw")
+    open_queue = domain.register_queue(
+        FluidQueue(sim, capacity=5e6, buffer=None, name="open"))
+    return sim, domain, (qos, fifo), (cpu, open_queue), (a, b)
+
+
+def _oracle_flow(rng, domain, links, servers, senders, index):
+    qos, fifo = links
+    cpu, open_queue = servers
+    a, b = senders
+    qci = [None, 1, 5, 9][int(rng.integers(4))]
+    flow = FluidFlow(domain, f"f{index}", src_ip="10.0.0.1",
+                     dst_ip="10.0.0.3", rate=float(rng.uniform(1e6, 8e6)),
+                     qci=qci)
+    flow.add_link(qos, a)
+    if rng.random() < 0.7:
+        flow.add_server(cpu, float(rng.uniform(1e-5, 5e-4)))
+    if rng.random() < 0.7:
+        flow.add_link(fifo, b)
+    if rng.random() < 0.7:
+        entry = open_queue.attach(flow, scale=8.0,
+                                  priority=qos.priority_of_qci(qci))
+        flow._hops.append((open_queue, entry, 0.0))
+    return flow
+
+
+def test_wait_table_matches_the_per_packet_formula():
+    """Every wait the table gives equals the per-packet formula
+    exactly, across start/stop/set_rate/link-flap resolves, flows
+    attached after a solve, FIFO and priority queues, finite and
+    unbounded buffers, and starved priorities."""
+    kinds = set()
+    for seed in range(8):
+        _replay_against_reference(seed, kinds)
+    # zero, finite and both starved outcomes (capped by a finite
+    # buffer, or infinite without one) were all compared
+    assert kinds == {"zero", "finite", "capped", "inf"}
+
+
+def _replay_against_reference(seed, kinds):
+    rng = np.random.default_rng(seed)
+    sim, domain, links, servers, senders = _oracle_world(rng)
+    flows = [_oracle_flow(rng, domain, links, servers, senders, i)
+             for i in range(3)]
+    flows[0].start()
+    ops = ["start", "stop", "set_rate", "flap", "attach"] * 2
+    ops += list(rng.choice(ops, size=6))
+    rng.shuffle(ops)
+
+    def check():
+        queues = [q for link in links for q in link.fluid_queues()]
+        for queue in queues + list(servers):
+            for priority in ORACLE_PRIORITIES:
+                expected = reference_packet_wait(queue, sim.now, priority)
+                assert queue.packet_wait(sim.now, priority) == expected, \
+                    (queue.name, priority)
+                kinds.add("zero" if expected == 0.0
+                          else "inf" if expected == float("inf")
+                          else "capped" if queue.buffer is not None
+                          and expected == queue.buffer / queue.capacity
+                          else "finite")
+
+    for op in ops:
+        check()
+        flow = flows[int(rng.integers(len(flows)))]
+        if op == "start":
+            flow.start()
+        elif op == "stop":
+            flow.stop()
+        elif op == "set_rate":
+            flow.set_rate(float(rng.uniform(1e6, 12e6)))
+        elif op == "flap":
+            link = links[int(rng.integers(2))]
+            link.set_up(not link.up)
+        else:
+            flows.append(_oracle_flow(rng, domain, links, servers,
+                                      senders, len(flows)))
+        check()
+        sim.run(until=sim.now + float(rng.uniform(0.05, 1.5)))
+    check()
 
 
 def test_fluid_queue_validation():

@@ -130,13 +130,13 @@ def test_sim_is_fully_self_contained():
 SCHEDULER_INTERNALS = {"_heap", "_now_lane", "_schedule_internal", "_pool"}
 
 
-#: Fluid data-plane internals: entry tables, per-direction queue maps
+#: Fluid data-plane internals: entry and wait tables, per-direction queues
 #: and the rate solver are private to ``repro.sim.fluid``.  Other layers
 #: compose fluid traffic only through the public ``FluidDomain`` /
 #: ``FluidFlow`` / ``FluidLink`` surface (``attach`` is called by
 #: ``FluidFlow`` itself).  ``core/network.py`` is the single sanctioned
 #: wiring point outside ``repro.sim``.
-FLUID_INTERNALS = {"_attach_fluid", "_entries", "_fluid_by_dir",
+FLUID_INTERNALS = {"_attach_fluid", "_entries", "_fluid", "_waits",
                    "_fluid_domain", "_solve_rates", "_accrue_drops",
                    "_rearm_flush", "_hops"}
 

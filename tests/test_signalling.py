@@ -6,7 +6,8 @@ import pytest
 from repro.core.config import NetworkConfig, SignallingConfig
 from repro.core.network import MobileNetwork
 from repro.epc.entities import ServicePolicy
-from repro.epc.events import ProcedureCompleted, ProcedureStarted
+from repro.epc.events import (ProcedureCompleted, ProcedureStarted,
+                              UeIpAssigned)
 from repro.epc.signalling import SignallingFabric
 from repro.epc.messages import MessageType
 from repro.epc.overhead import ControlLedger
@@ -126,6 +127,28 @@ def test_concurrent_attaches_contend_on_shared_channels():
     assert max(elapsed) > lone_elapsed
     # and everyone still completes in bounded time
     assert all(e < 1.0 for e in elapsed)
+
+
+def test_ip_assignment_reaches_only_its_own_attach():
+    """Each pending attach subscribes to UeIpAssigned keyed by its UE:
+    in a 50-UE concurrent storm every assignment calls exactly one
+    attach handler, not one per attach still in flight."""
+    network = build(seed=2)
+    hooks = network.sim.hooks
+    emit = hooks.emit
+    served = []
+
+    def counting_emit(event):
+        count = emit(event)
+        if isinstance(event, UeIpAssigned):
+            served.append(count)
+        return count
+
+    hooks.emit = counting_emit
+    procs = [network.add_ue_async() for _ in range(50)]
+    network.sim.run()
+    assert all(p.finished and p.value.attached for p in procs)
+    assert served == [1] * 50
 
 
 def test_service_request_dedup_shares_one_procedure():
