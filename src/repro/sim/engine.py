@@ -1,21 +1,26 @@
 """Deterministic discrete-event engine.
 
-The simulator executes :class:`Event` records in ``(time, priority,
+The simulator executes scheduled callbacks in ``(time, priority,
 sequence)`` order -- ties break by insertion order, which makes runs
 bit-for-bit reproducible.  One queue inside :class:`Simulator` keeps
-that order:
+that order, and every entry in it is a plain tuple ``(time, priority,
+seq, fn, args, handle)``:
 
-* a binary heap of ``(time, priority, seq, event)`` tuples, so sifting
-  compares tuples in C;
+* a binary heap of entries, so sifting compares tuples in C (``seq``
+  is unique, so a comparison never reaches ``fn``);
 * a FIFO *now lane* for zero-delay events at default priority -- the
   dominant kind (process steps, future settlement).  It is sorted by
   construction, because the clock never runs backwards and sequence
   numbers only grow, so those events cost no ordering work.
 
-A pop takes the lesser of the two heads under the full key.  Cancelling
-an event leaves a tombstone in place (O(1)); tombstones are skipped
-when reached, and the heap is compacted in O(n) once it holds more than
-twice as many entries as there are live events.
+The run loop takes the lesser of the two heads by comparing the two
+entries.  ``handle`` is the :class:`Event` of a public, cancellable
+event (:meth:`Simulator.schedule`, :meth:`Event.reschedule`) and
+``None`` for an engine-internal one (process steps, future settlement,
+link arrivals), which therefore never allocates an :class:`Event`.
+Cancelling an event leaves a tombstone in place (O(1)); tombstones are
+skipped when reached, and the heap is compacted in O(n) once it holds
+more than twice as many entries as there are live events.
 
 Two programming styles are supported:
 
@@ -30,11 +35,8 @@ synchronous code (including code already running inside an event
 callback) block on a signalling procedure that is itself modelled as
 simulated traffic.
 
-Internal continuations (process steps, future settlement) recycle their
-:class:`Event` records through a free pool: those handles never escape
-the engine, so reuse is safe, and a signalling storm allocates almost
-no event objects in steady state.  Periodic sources get the same
-benefit explicitly via :meth:`Event.reschedule`.
+Periodic sources re-arm one :class:`Event` in place via
+:meth:`Event.reschedule` instead of allocating one per period.
 
 An internal event can also be *reserved* instead of pushed: its caller
 takes the key the push would have had (``now + delay`` and
@@ -43,13 +45,14 @@ it turns out to have work (:meth:`Simulator._schedule_reserved`).  A
 link's tx-done is the one user: it almost always finds an empty queue.
 Whether a reserved key has already "run" is answered by
 :meth:`Simulator._key_ran` from the key of the running event, which
-``run`` and ``step`` record.  The order of every pushed event is the
+the run loop records.  The order of every pushed event is the
 order it would have had with the eager push.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -57,9 +60,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro.sim.hooks import HookBus
 
 _INF = float("inf")
-
-#: Upper bound on the free pool of recycled internal events.
-POOL_CAP = 1024
 
 #: Heap entries tolerated beyond twice the live-event count before the
 #: heap is compacted (keeps tiny queues from compacting on every cancel).
@@ -79,7 +79,7 @@ def _check_delay(delay: float) -> None:
 
 
 class Event:
-    """A scheduled callback.
+    """The handle of a public scheduled callback.
 
     Events are returned by :meth:`Simulator.schedule` and can be
     cancelled.  Cancelled events stay queued as tombstones and are
@@ -87,7 +87,7 @@ class Event:
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled",
-                 "_sim", "_popped", "_recyclable")
+                 "_sim", "_popped")
 
     def __init__(self, time: float, priority: int, seq: int,
                  fn: Callable[..., Any], args: tuple, sim: "Simulator"):
@@ -99,7 +99,6 @@ class Event:
         self.cancelled = False
         self._sim = sim
         self._popped = False
-        self._recyclable = False
 
     def cancel(self) -> None:
         """Prevent this event's callback from running."""
@@ -134,7 +133,8 @@ class Event:
         self.seq = next(sim._seq)
         self.cancelled = False
         self._popped = False
-        sim._push(self, delay == 0.0 and self.priority == 0)
+        sim._push((self.time, self.priority, self.seq, self.fn, self.args,
+                   self), delay == 0.0 and self.priority == 0)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -297,24 +297,23 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self.hooks = HookBus()
-        #: monotone counter bumped every time an event is armed (fresh,
-        #: recycled or re-armed).  Real-time pacers snapshot it before a
+        #: monotone counter bumped every time an event is armed (fresh
+        #: or re-armed).  Real-time pacers snapshot it before a
         #: wall-clock sleep: a changed epoch means a callback (possibly
         #: a reentrant ``run_until_complete`` one) armed new work, so the
         #: cached ``next_event_time()`` bound may now be stale and must
         #: be re-sampled instead of sleeping through the old target.
         self.arm_epoch: int = 0
-        self._heap: list[tuple] = []            # (time, priority, seq, Event)
-        self._now_lane: deque[Event] = deque()  # zero delay, priority 0
+        # entries (time, priority, seq, fn, args, handle); handle is
+        # the Event of a public event, None for an internal one
+        self._heap: list[tuple] = []
+        self._now_lane: deque[tuple] = deque()  # zero delay, priority 0
         self._seq = itertools.count()
         self._events_run = 0
         self._live = 0          # not-yet-cancelled, not-yet-run events
         self._heap_peak = 0
         self._discarded = 0     # tombstones dropped at pop or compaction
         self._compactions = 0
-        self._pool: list[Event] = []
-        self._pool_hits = 0
-        self._pool_misses = 0
         # (priority, seq) of the running event, whose time is ``now``;
         # after a drained or ``until``-bounded run, a watermark seq
         # under which every priority-0 event at ``now`` has run
@@ -323,16 +322,16 @@ class Simulator:
 
     # -- the queue --------------------------------------------------------
 
-    def _push(self, event: Event, lane: bool) -> None:
-        """Queue an armed event: the now lane takes zero-delay events at
+    def _push(self, entry: tuple, lane: bool) -> None:
+        """Queue an entry: the now lane takes zero-delay entries at
         default priority (``lane``), the heap everything else."""
         self._live += 1
         self.arm_epoch += 1
         if lane:
-            self._now_lane.append(event)
+            self._now_lane.append(entry)
             return
         heap = self._heap
-        heappush(heap, (event.time, event.priority, event.seq, event))
+        heappush(heap, entry)
         size = len(heap)
         if size > self._heap_peak:
             self._heap_peak = size
@@ -340,48 +339,20 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every tombstone from the heap and re-heapify: O(n)."""
+        """Drop every tombstone from the heap and re-heapify: O(n).
+        In place, so the run loop's reference to the heap stays valid."""
         heap = self._heap
         live = []
         for entry in heap:
-            if entry[3].cancelled:
-                entry[3]._popped = True
+            handle = entry[5]
+            if handle is not None and handle.cancelled:
+                handle._popped = True
             else:
                 live.append(entry)
         self._discarded += len(heap) - len(live)
         heapify(live)
-        self._heap = live
+        heap[:] = live
         self._compactions += 1
-
-    def _pop(self, until: Optional[float]) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` if the
-        queue is drained or the next event is later than ``until``."""
-        lane = self._now_lane
-        heap = self._heap
-        while True:
-            if lane:
-                event = lane[0]
-                from_lane = True
-                if heap and heap[0] < (event.time, 0, event.seq):
-                    event = heap[0][3]
-                    from_lane = False
-            elif heap:
-                event = heap[0][3]
-                from_lane = False
-            else:
-                return None
-            if event.cancelled:
-                self._discarded += 1
-            elif until is not None and event.time > until:
-                return None
-            if from_lane:
-                lane.popleft()
-            else:
-                heappop(heap)
-            event._popped = True
-            if not event.cancelled:
-                self._live -= 1
-                return event
 
     # -- scheduling -----------------------------------------------------
 
@@ -389,17 +360,19 @@ class Simulator:
                  *args: Any, priority: int = 0) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         _check_delay(delay)
-        event = Event(self.now + delay, priority, next(self._seq), fn, args,
-                      self)
-        self._push(event, delay == 0.0 and priority == 0)
+        time = self.now + delay
+        seq = next(self._seq)
+        event = Event(time, priority, seq, fn, args, self)
+        self._push((time, priority, seq, fn, args, event),
+                   delay == 0.0 and priority == 0)
         return event
 
     def _schedule_internal(self, delay: float, fn: Callable[..., Any],
                            *args: Any) -> None:
-        """Engine-internal scheduling: the handle never escapes, so the
-        event is recycled through the free pool after it runs."""
-        self._schedule_pooled(self.now + delay, next(self._seq), fn, args,
-                              delay == 0.0)
+        """Engine-internal scheduling: the caller gets no handle, so no
+        :class:`Event` is made."""
+        self._push((self.now + delay, 0, next(self._seq), fn, args, None),
+                   delay == 0.0)
 
     def _schedule_reserved(self, time: float, seq: int,
                            fn: Callable[..., Any], *args: Any) -> None:
@@ -412,26 +385,7 @@ class Simulator:
         (:meth:`_key_ran`).  It always goes to the heap: an older seq
         would break the now lane's FIFO order.
         """
-        self._schedule_pooled(time, seq, fn, args, False)
-
-    def _schedule_pooled(self, time: float, seq: int,
-                         fn: Callable[..., Any], args: tuple,
-                         lane: bool) -> None:
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            self._pool_hits += 1
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event._popped = False
-        else:
-            self._pool_misses += 1
-            event = Event(time, 0, seq, fn, args, self)
-            event._recyclable = True
-        self._push(event, lane)
+        self._push((time, 0, seq, fn, args, None), False)
 
     def _key_ran(self, seq: int) -> bool:
         """Whether the priority-0 key ``(now, 0, seq)`` has run, i.e. is
@@ -451,14 +405,11 @@ class Simulator:
         self._run_seq = mark - 1
 
     def _schedule_step(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Zero-delay internal continuation (the dominant event kind)."""
-        self._schedule_internal(0.0, fn, *args)
-
-    def _recycle(self, event: Event) -> None:
-        if event._recyclable and len(self._pool) < POOL_CAP:
-            event.fn = None
-            event.args = ()
-            self._pool.append(event)
+        """Zero-delay internal continuation (the dominant event kind):
+        straight onto the now lane."""
+        self._live += 1
+        self.arm_epoch += 1
+        self._now_lane.append((self.now, 0, next(self._seq), fn, args, None))
 
     def schedule_at(self, time: float, fn: Callable[..., Any],
                     *args: Any, priority: int = 0) -> Event:
@@ -490,25 +441,62 @@ class Simulator:
         The clock parks at ``until`` only once no event at or before it
         is left: a ``max_events`` stop leaves it at the last event run,
         so the next run never moves it backwards."""
-        pop = self._pop
-        recycle = self._recycle
+        self._run(until, max_events)
+
+    def _run(self, until: Optional[float],
+             max_events: Optional[int]) -> int:
+        """The event loop behind :meth:`run` and :meth:`step`; returns
+        the number of callbacks it executed.  ``step`` enters it
+        directly, not through ``run``, so a tracer wrapped around
+        ``run`` sees one span per ``run_until_complete``, not one per
+        event."""
+        lane = self._now_lane
+        heap = self._heap
+        popleft = lane.popleft
+        bound = _INF if until is None else until
+        limit = sys.maxsize if max_events is None else max_events
         # the executed-event count is accumulated locally and folded
         # into the counter on exit (a callback that raises still counts)
         ran = 0
         try:
-            while max_events is None or ran < max_events:
-                event = pop(until)
-                if event is None:
-                    if until is not None and self.now < until:
-                        self.now = until
-                    self._mark_all_ran()
+            while ran < limit:
+                if lane:
+                    entry = lane[0]
+                    if heap and heap[0] < entry:
+                        entry = heap[0]
+                        from_lane = False
+                    else:
+                        from_lane = True
+                elif heap:
+                    entry = heap[0]
+                    from_lane = False
+                else:
                     break
+                time, priority, seq, fn, args, handle = entry
+                if time > bound and (handle is None or not handle.cancelled):
+                    break
+                if from_lane:
+                    popleft()
+                else:
+                    heappop(heap)
+                if handle is not None:
+                    handle._popped = True
+                    if handle.cancelled:
+                        self._discarded += 1
+                        continue
+                self._live -= 1
                 ran += 1
-                self.now = event.time
-                self._run_priority = event.priority
-                self._run_seq = event.seq
-                event.fn(*event.args)
-                recycle(event)
+                self.now = time
+                self._run_priority = priority
+                self._run_seq = seq
+                fn(*args)
+            else:
+                return ran
+            # drained, or the next event is later than ``until``
+            if until is not None and self.now < until:
+                self.now = until
+            self._mark_all_ran()
+            return ran
         finally:
             self._events_run += ran
 
@@ -534,18 +522,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Run exactly one pending event.  Returns False if none remain."""
-        event = self._pop(None)
-        if event is None:
-            self._mark_all_ran()
-            return False
-        # counted before the call, as in run(): a raising callback ran
-        self._events_run += 1
-        self.now = event.time
-        self._run_priority = event.priority
-        self._run_seq = event.seq
-        event.fn(*event.args)
-        self._recycle(event)
-        return True
+        return self._run(None, 1) == 1
 
     def next_event_time(self) -> Optional[float]:
         """A lower bound on the next pending event's time, or ``None``.
@@ -574,8 +551,8 @@ class Simulator:
         if self._live <= 0:
             return None
         bound = self._heap[0][0] if self._heap else _INF
-        if self._now_lane and self._now_lane[0].time < bound:
-            bound = self._now_lane[0].time
+        if self._now_lane and self._now_lane[0][0] < bound:
+            bound = self._now_lane[0][0]
         return self.now if bound < self.now else bound
 
     @property
@@ -596,24 +573,17 @@ class Simulator:
         return self._events_run
 
     def profile(self) -> dict:
-        """Execution counters: events run, queue peaks, tombstones, pool.
+        """Execution counters: events run, queue peaks, tombstones.
 
         Counters are diagnostics only -- nothing in the simulation may
         read them back into behaviour.
         """
-        requests = self._pool_hits + self._pool_misses
         return {
             "events_run": self._events_run,
             "pending": self._live,
             "heap_peak": self._heap_peak,
             "cancelled_discarded": self._discarded,
             "compactions": self._compactions,
-            "pool": {
-                "hits": self._pool_hits,
-                "misses": self._pool_misses,
-                "hit_rate": self._pool_hits / requests if requests else 0.0,
-                "free": len(self._pool),
-            },
         }
 
     def drain(self, events: Iterable[Event]) -> None:

@@ -299,13 +299,15 @@ class FluidQueue:
         stationary backlog, weighted by arrival variability."""
         if blocking <= 0.0:
             return 0.0
+        # a zero-cost server entry adds no work (and no packets to
+        # serve): leaving it out also keeps its 0/0 out of the sum
+        costed = self._upp > 0.0
         if mask is None:
             varying = float((self._rates * self._vars).sum())
-            pps_units = self._rates / self._upp
-            pps = float(pps_units.sum())
         else:
             varying = float((self._rates * self._vars)[mask].sum())
-            pps = float((self._rates / self._upp)[mask].sum())
+            costed &= mask
+        pps = float((self._rates[costed] / self._upp[costed]).sum())
         if varying <= 0.0 or pps <= 0.0:
             return 0.0
         rho = blocking / self.capacity
@@ -684,7 +686,7 @@ class FluidLink(Link):
                     direction.drops += 1
                     self._signal_drop(packet, sender, "queue-overflow")
                     return
-        super().transmit(sender, packet)
+        self._send(direction, sender, packet)
 
     def _transmit_packet(self, direction: "_Direction", packet: Packet,
                          wire_size: int) -> None:

@@ -210,7 +210,12 @@ class Link:
 
     def transmit(self, sender: "Node", packet: Packet) -> None:
         """Queue a packet for transmission from ``sender`` to the peer."""
-        direction = self._directions.get(id(sender))
+        self._send(self._directions.get(id(sender)), sender, packet)
+
+    def _send(self, direction: Optional[_Direction], sender: "Node",
+              packet: Packet) -> None:
+        """The send body of :meth:`transmit`, given the direction out of
+        ``sender`` (``None``: not attached) that the caller looked up."""
         if direction is None:
             raise ValueError(
                 f"{sender!r} is not attached to link {self.name}")
@@ -275,8 +280,7 @@ class Link:
         tx_time = wait + wire_size * 8 / direction.bandwidth
         direction.tx_packets += 1
         direction.tx_bytes += wire_size
-        # internal pooled scheduling: the handle never escapes the link,
-        # so a saturated link allocates no Event objects in steady state
+        # internal scheduling: a plain queue entry, no Event object
         sim = self.sim
         sim._schedule_internal(tx_time + self._propagation(),
                                receiver.receive, packet, self)

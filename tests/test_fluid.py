@@ -430,6 +430,39 @@ def _replay_against_reference(seed, kinds):
     check()
 
 
+def _gateway_cpu(costs):
+    """A gateway CPU serving one started flow per entry of ``costs``
+    (CPU-seconds per packet)."""
+    sim = Simulator()
+    domain = FluidDomain(sim)
+    cpu = domain.cpu_queue("gw")
+    flows = []
+    for i, cost in enumerate(costs):
+        flow = FluidFlow(domain, f"f{i}", src_ip="10.0.0.1",
+                         dst_ip="10.0.0.2", rate=8e6)
+        flow.add_server(cpu, cost)
+        flows.append(flow.start())
+    sim.run(until=0.5)
+    return sim, cpu, flows
+
+
+def test_zero_cost_server_flow_leaves_the_cpu_wait_finite():
+    """A flow that costs the CPU nothing adds no packets to serve: the
+    wait equals the costed flow's alone, before and after it stops."""
+    _, alone_cpu, _ = _gateway_cpu([1e-4])
+    sim, cpu, flows = _gateway_cpu([1e-4, 0.0])
+    with np.errstate(invalid="raise", divide="raise"):
+        for priority in (None, 100):
+            alone = alone_cpu.packet_wait(0.5, priority)
+            assert 0.0 < alone < float("inf")
+            assert cpu.packet_wait(sim.now, priority) == alone
+        flows[1].stop()
+        sim.run(until=1.0)
+        for priority in (None, 100):
+            alone = alone_cpu.packet_wait(0.5, priority)
+            assert cpu.packet_wait(sim.now, priority) == alone
+
+
 def test_fluid_queue_validation():
     sim = Simulator()
     with pytest.raises(ValueError, match="capacity"):

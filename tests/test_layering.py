@@ -123,11 +123,11 @@ def test_sim_is_fully_self_contained():
                     f"{path.name} imports {imported}"
 
 
-#: Event-queue internals: the tuple heap, the now lane, the
-#: unvalidated internal arm path and the event pool are private to
-#: ``repro.sim``.  Everything else must go through
-#: ``Simulator()`` / ``Simulator.schedule()`` / ``Simulator.profile()``.
-SCHEDULER_INTERNALS = {"_heap", "_now_lane", "_schedule_internal", "_pool"}
+#: Event-queue internals: the tuple heap, the now lane and the
+#: unvalidated internal arm path are private to ``repro.sim``.
+#: Everything else must go through ``Simulator()`` /
+#: ``Simulator.schedule()`` / ``Simulator.profile()``.
+SCHEDULER_INTERNALS = {"_heap", "_now_lane", "_schedule_internal"}
 
 
 #: Fluid data-plane internals: entry and wait tables, per-direction queues
@@ -225,7 +225,7 @@ def test_no_scheduler_internals_outside_sim():
     """Nothing outside ``repro.sim`` touches scheduler internals.
 
     ``self.<name>`` is allowed (a class may own an unrelated attribute
-    of the same shape, e.g. a vision-layer ``_pool``); any other
+    of the same shape, e.g. its own ``_heap``); any other
     receiver means code is reaching into the engine's guts and would
     silently break when the scheduler implementation changes.
     """

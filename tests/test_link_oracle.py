@@ -36,8 +36,7 @@ class EagerLink(Link):
     """The two-event data path: every transmission pushes its tx-done,
     which frees the transmitter or starts the next queued packet."""
 
-    def transmit(self, sender, packet):
-        direction = self._directions.get(id(sender))
+    def _send(self, direction, sender, packet):
         if direction is None:
             raise ValueError(f"{sender!r} is not attached")
         if not self.up:

@@ -238,7 +238,7 @@ def test_pending_tracks_cancel_after_run():
     assert sim.pending == 0
 
 
-def test_pending_matches_external_count_randomized(event_recycling):
+def test_pending_matches_external_count_randomized():
     import random
 
     rnd = random.Random(1234)

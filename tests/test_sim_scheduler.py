@@ -5,7 +5,10 @@ with ties broken by insertion sequence.  :class:`Oracle` below realises
 that order in the plainest way there is -- a list of keys kept sorted
 by insertion -- and the tests replay identical randomized
 workloads on it and on :class:`~repro.sim.engine.Simulator`, comparing
-the full execution traces ``(time, priority, seq, fn, args)``.
+the full execution traces ``(time, priority, seq, fn, args)``.  The
+simulator's trace is recorded from inside each callback, off the key
+the run loop left for the running event, so the real loop is what is
+compared.
 """
 
 import bisect
@@ -16,8 +19,7 @@ import pytest
 
 from repro.core.config import DATA_PLANES, NetworkConfig, SimConfig
 from repro.core.network import MobileNetwork
-from repro.sim.engine import (COMPACT_FLOOR, POOL_CAP, SimulationError,
-                              Simulator)
+from repro.sim.engine import COMPACT_FLOOR, Event, SimulationError, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +79,20 @@ class Oracle:
 
 
 def traced(sim):
-    """Record every event the simulator runs, in the oracle's shape."""
+    """Record every event the simulator runs, in the oracle's shape:
+    each callback is wrapped to log the running event's key (``now``
+    and the ``(priority, seq)`` the loop recorded) before it runs."""
     sim.trace = []
-    pop = sim._pop
+    schedule = sim.schedule
 
-    def recording_pop(until):
-        event = pop(until)
-        if event is not None:
-            sim.trace.append((event.time, event.priority, event.seq,
-                              event.fn.__name__, event.args))
-        return event
+    def recording_schedule(delay, fn, *args, priority=0):
+        def record(*call_args):
+            sim.trace.append((sim.now, sim._run_priority, sim._run_seq,
+                              fn.__name__, call_args))
+            fn(*call_args)
+        return schedule(delay, record, *args, priority=priority)
 
-    sim._pop = recording_pop
+    sim.schedule = recording_schedule
     return sim
 
 
@@ -237,7 +241,7 @@ def test_cancel_heavy_flood_compacts_and_keeps_order():
     assert len(sizes) == 60 * 41
 
 
-def test_priority_orders_simultaneous_events(event_recycling):
+def test_priority_orders_simultaneous_events():
     sim = Simulator()
     out = []
     sim.schedule(0.01, out.append, "late-low", priority=5)
@@ -266,7 +270,7 @@ def test_now_lane_yields_to_an_earlier_timer_at_the_same_time():
                    "zero-delay-low"]
 
 
-def test_run_until_boundary_inclusive(event_recycling):
+def test_run_until_boundary_inclusive():
     sim = Simulator()
     out = []
     sim.schedule(1.0, out.append, "at")
@@ -305,7 +309,7 @@ def test_next_event_time_is_the_earlier_head():
 
 
 # ---------------------------------------------------------------------------
-# construction, cancellation, event pooling, reschedule, profile
+# construction, cancellation, handles, reschedule, profile
 # ---------------------------------------------------------------------------
 
 def test_sim_config_builds_simulator():
@@ -333,52 +337,96 @@ def test_cancelled_timers_cost_no_execution():
     assert prof["events_run"] == 11
 
 
-def test_internal_events_are_pooled_and_reused():
+def _entries(sim):
+    return list(sim._heap) + list(sim._now_lane)
+
+
+def test_internal_entries_carry_no_handle(monkeypatch):
+    """Internal, step and reserved entries are plain tuples: no
+    :class:`Event` is made for them, and they run in key order."""
+    made = []
+    init = Event.__init__
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
     sim = Simulator()
-
-    def chain(n):
-        if n > 0:
-            sim._schedule_internal(0.001, chain, n - 1)
-
-    sim._schedule_internal(0.001, chain, 50)
+    ran = []
+    sim._schedule_internal(0.002, ran.append, "internal")
+    sim._schedule_internal(0.0, ran.append, "internal-now")
+    sim._schedule_step(ran.append, "step")
+    seq = next(sim._seq)
+    sim._schedule_reserved(0.001, seq, ran.append, "reserved")
+    entries = _entries(sim)
+    assert len(entries) == 4
+    assert all(entry[5] is None for entry in entries)
+    assert made == []
+    public = sim.schedule(0.003, ran.append, "public")
+    assert [e[5] for e in _entries(sim) if e[5] is not None] == [public]
+    assert made == [public]
     sim.run()
-    prof = sim.profile()
-    assert prof["pool"]["hits"] >= 49
-    assert prof["pool"]["hit_rate"] > 0.9
-    assert prof["pool"]["free"] >= 1
+    assert ran == ["internal-now", "step", "reserved", "internal", "public"]
+    assert sim.pending == 0
 
 
-def test_external_events_never_enter_pool():
+def test_public_handle_cancels_before_it_runs():
     sim = Simulator()
-    events = [sim.schedule(0.001 * i, lambda: None) for i in range(1, 20)]
+    ran = []
+    lane = sim.schedule(0.0, ran.append, "lane")
+    heap = sim.schedule(0.01, ran.append, "heap")
+    sim._schedule_internal(0.005, ran.append, "internal")
+    assert sim.pending == 3
+    lane.cancel()
+    heap.cancel()
+    assert sim.pending == 1
     sim.run()
-    assert sim.profile()["pool"]["free"] == 0
-    # handles stay valid after running: stale cancel is harmless
+    assert ran == ["internal"]
+    assert sim.pending == 0
+    assert sim.profile()["cancelled_discarded"] == 2
+
+
+def test_stale_cancel_after_run_is_harmless():
+    sim = Simulator()
+    ran = []
+    events = [sim.schedule(0.001 * i, ran.append, i) for i in range(1, 20)]
+    sim.run(until=0.0105)
+    assert ran == list(range(1, 11))
+    assert sim.pending == 9
+    for event in events[:10]:
+        event.cancel()                   # already ran: nothing to count off
+    assert sim.pending == 9
+    events[15].cancel()
+    assert sim.pending == 8
+    sim.run()
+    assert ran == [i for i in range(1, 20) if i != 16]
+    assert sim.pending == 0
     for event in events:
         event.cancel()
     assert sim.pending == 0
 
 
-def test_pool_reuse_after_cancel():
-    """A recycled internal event carries none of its old state."""
+def test_reschedule_after_compaction():
+    """A periodic timer re-armed in place keeps ticking while a flood
+    of cancelled guards forces compactions with its entry queued."""
     sim = Simulator()
-    ran = []
-    sim._schedule_internal(0.01, ran.append, "dead")
-    sim.run()
-    assert ran == ["dead"]
-    assert sim.profile()["pool"]["free"] == 1
-    sim._schedule_internal(0.01, ran.append, "reused")
-    sim.run()
-    assert ran == ["dead", "reused"]
-    assert sim.profile()["pool"]["hits"] == 1
+    ticks = []
 
+    def tick():
+        ticks.append(sim.now)
+        if len(ticks) < 10:
+            timer.reschedule(0.1)
+        guards = [sim.schedule(5.0 + k, lambda: None)
+                  for k in range(COMPACT_FLOOR)]
+        for guard in guards:
+            guard.cancel()
 
-def test_pool_respects_capacity():
-    sim = Simulator()
-    for i in range(POOL_CAP + 10):
-        sim._schedule_internal(0.001 * (i + 1), lambda: None)
+    timer = sim.schedule(0.1, tick)
     sim.run()
-    assert sim.profile()["pool"]["free"] == POOL_CAP
+    assert sim.profile()["compactions"] >= 5
+    assert ticks == [pytest.approx(0.1 * (i + 1)) for i in range(10)]
+    assert sim.pending == 0
 
 
 def test_reschedule_requires_popped_event():
@@ -411,7 +459,7 @@ def test_profile_shape():
     sim.run()
     prof = sim.profile()
     assert set(prof) == {"events_run", "pending", "heap_peak",
-                         "cancelled_discarded", "compactions", "pool"}
+                         "cancelled_discarded", "compactions"}
     assert prof["events_run"] == 2
     assert prof["pending"] == 0
     assert prof["heap_peak"] == 2
