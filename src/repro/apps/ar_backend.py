@@ -140,8 +140,8 @@ class ARServerNode(Node):
             frame=frame, now=self.sim.now, scheme=self.scheme,
             clients=max(1, self.active_clients))
         self.responses.append(response)
-        self.sim.schedule(response.server_time, self._reply, packet,
-                          response, link)
+        self.sim.post(response.server_time, self._reply, packet, response,
+                      link)
 
     def _reply(self, request: Packet, response: ARResponse,
                link: "Link") -> None:

@@ -107,7 +107,7 @@ class ARSession:
 
     def start(self, at: float = 0.0) -> None:
         """Begin capturing at absolute sim time ``at`` (or now if past)."""
-        self.sim.schedule(max(0.0, at - self.sim.now), self._capture_next)
+        self.sim.post(max(0.0, at - self.sim.now), self._capture_next)
 
     def _capture_next(self) -> None:
         if self._finished:
@@ -123,7 +123,7 @@ class ARSession:
         self._seq += 1
         capture_time = self.sim.now
         encode_time = self.frontend.encode_time
-        self.sim.schedule(encode_time, self._upload, frame, capture_time)
+        self.sim.post(encode_time, self._upload, frame, capture_time)
 
     def _upload(self, frame: Frame, capture_time: float) -> None:
         packet = Packet(
@@ -159,7 +159,7 @@ class ARSession:
         # closed loop, but never faster than the camera can produce
         next_in = max(0.0, self.frontend.min_frame_interval
                       - (self.sim.now - capture_time))
-        self.sim.schedule(next_in, self._capture_next)
+        self.sim.post(next_in, self._capture_next)
 
     def close(self) -> None:
         """Detach the session from the hook bus.  Idempotent."""

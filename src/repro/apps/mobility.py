@@ -107,8 +107,7 @@ class MobilityManager:
         self._maybe_handover(user, position)
         elapsed = now - user.started_at
         if elapsed < user.walk.duration:
-            self.network.sim.schedule(self.update_interval, self._tick,
-                                      user)
+            self.network.sim.post(self.update_interval, self._tick, user)
 
     def _distance_to(self, enb_name: str, position: Position) -> float:
         x, y = self.enb_positions[enb_name]

@@ -72,7 +72,7 @@ class VRRenderServer(Node):
         start = max(self.sim.now, self._busy_until)
         done = start + self.render_time
         self._busy_until = done
-        self.sim.schedule(done - self.sim.now, self._reply, packet, link)
+        self.sim.post(done - self.sim.now, self._reply, packet, link)
 
     def _reply(self, request: Packet, link: "Link") -> None:
         self.poses_rendered += 1
@@ -112,7 +112,7 @@ class VRClient:
 
     def start(self, at: float = 0.0) -> None:
         self._running = True
-        self.sim.schedule(max(0.0, at - self.sim.now), self._tick)
+        self.sim.post(max(0.0, at - self.sim.now), self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -140,7 +140,7 @@ class VRClient:
             meta={"pose_seq": seq})
         self._sent_at[seq] = self.sim.now
         self.ue.send_app(packet)
-        self.sim.schedule(self.tick_interval, self._tick)
+        self.sim.post(self.tick_interval, self._tick)
 
     def _on_downlink(self, event: DownlinkDelivered) -> None:
         # keyed on our UE; tiles echo the pose's flow id, so filter to

@@ -318,7 +318,7 @@ class MobileNetwork:
                 packet.meta["transfer_bytes"] = int(nbytes)
             # source-paced at the link rate: the queue never builds
             # beyond a chunk, so deep bursts cannot overflow the WAN
-            self.sim.schedule(offset, src.transfer.send, port, packet)
+            self.sim.post(offset, src.transfer.send, port, packet)
             offset += packet.wire_size * 8.0 / wan.bandwidth
         return future
 
@@ -428,7 +428,7 @@ class MobileNetwork:
         apply_qci_priorities(radio)
         self.links[radio.name] = radio
         # the UE attaches first: its outbound direction is the uplink
-        ue.ports.pop("radio", None)     # drop any previous cell's link
+        ue.detach("radio")              # drop any previous cell's link
         ue.attach("radio", radio)
         port = f"radio:{ue.name}"
         enb.attach(port, radio)
@@ -670,7 +670,7 @@ class Pinger:
         now = self.network.sim.now
         for i in range(count):
             at = max(now, start) + i * self.interval
-            self.network.sim.schedule(at - now, self._send_one)
+            self.network.sim.post(at - now, self._send_one)
 
     def _send_one(self) -> None:
         packet = Packet(src=self.ue.ip, dst=self.server.ip, size=self.size,

@@ -84,7 +84,7 @@ class D2DChannel:
         # stagger first broadcasts unless an explicit start is given
         offset = (start if start is not None
                   else float(self.rng.uniform(0, publisher.period)))
-        self.sim.schedule(offset, self._broadcast, publisher)
+        self.sim.post(offset, self._broadcast, publisher)
 
     def add_subscriber(self, subscriber: Subscriber) -> None:
         if subscriber.device_id in self.subscribers:
@@ -107,7 +107,7 @@ class D2DChannel:
             return
         publisher.broadcasts_sent += 1
         self.deliver_once(publisher)
-        self.sim.schedule(publisher.period, self._broadcast, publisher)
+        self.sim.post(publisher.period, self._broadcast, publisher)
 
     def deliver_once(self, publisher: Publisher) -> None:
         """Propagate one broadcast to every current subscriber."""

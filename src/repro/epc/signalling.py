@@ -383,8 +383,7 @@ class SignallingFabric:
                     # re-deliver once after the spike; flagged so the
                     # delayed copy is not perturbed again
                     packet.meta["perturbed"] = True
-                    self.sim.schedule(pert.extra_delay, self._deliver,
-                                      packet)
+                    self.sim.post(pert.extra_delay, self._deliver, packet)
                     return
         message: ControlMessage = packet.meta["message"]
         if message.receiver in self.down_parties:

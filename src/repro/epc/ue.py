@@ -88,7 +88,7 @@ class UEDevice(Node):
         packet.meta["imsi"] = self.imsi
         self._touch()
         if delay > 0:
-            self.sim.schedule(delay, self.send, RADIO_PORT, packet)
+            self.sim.post(delay, self.send, RADIO_PORT, packet)
         else:
             self.send(RADIO_PORT, packet)
         return bearer

@@ -54,13 +54,12 @@ class Autoscaler:
         if not self.config.enabled or self._running:
             return
         self._running = True
-        self.ctx.sim.schedule(self.config.interval, self._tick, until)
+        self.ctx.sim.post(self.config.interval, self._tick, until)
 
     def _tick(self, until: float) -> None:
         self.evaluate()
         if self.ctx.now + self.config.interval <= until:
-            self.ctx.sim.schedule(self.config.interval, self._tick,
-                                  until)
+            self.ctx.sim.post(self.config.interval, self._tick, until)
         else:
             self._running = False
 

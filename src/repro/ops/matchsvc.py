@@ -84,8 +84,7 @@ class SiteMatcherService:
                 service += float(self.rng.uniform(-cfg.jitter,
                                                   cfg.jitter))
             started = self.ctx.now
-            self.ctx.sim.schedule(service, self._complete, arrival,
-                                  started)
+            self.ctx.sim.post(service, self._complete, arrival, started)
 
     def _complete(self, arrival: float, started: float) -> None:
         self._busy -= 1

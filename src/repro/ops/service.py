@@ -239,12 +239,12 @@ class OpsService:
 
     def _rpc_start_session(self, ue: str) -> dict:
         device = self._ue(ue)
-        self.run.sim.schedule(0.0, self.run.request_session, device)
+        self.run.sim.post(0.0, self.run.request_session, device)
         return {"ue": ue, "service": self.run.fabric.service_id}
 
     def _rpc_stop_session(self, ue: str) -> dict:
         device = self._ue(ue)
-        self.run.sim.schedule(
+        self.run.sim.post(
             0.0, self.run.mrs.release_connectivity, device,
             self.run.fabric.service_id)
         return {"ue": ue, "released": True}
@@ -276,7 +276,7 @@ class OpsService:
                               for name in network.fabric.channels)
             raise ValueError(f"no link named {link!r}; signalling "
                              f"channels: {channels}")
-        self.run.sim.schedule(0.0, target.set_up, True)
+        self.run.sim.post(0.0, target.set_up, True)
         return {"link": link, "up": True}
 
     def _rpc_snapshot(self) -> dict:

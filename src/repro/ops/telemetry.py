@@ -220,14 +220,12 @@ class TelemetryStreamer:
         if self._gauge_running:
             raise RuntimeError("gauge ticks already started")
         self._gauge_running = True
-        self.network.sim.schedule(interval, self._gauge_tick, interval,
-                                  until)
+        self.network.sim.post(interval, self._gauge_tick, interval, until)
 
     def _gauge_tick(self, interval: float, until: float) -> None:
         self.record(self.gauge_record())
         if self.network.sim.now + interval <= until:
-            self.network.sim.schedule(interval, self._gauge_tick,
-                                      interval, until)
+            self.network.sim.post(interval, self._gauge_tick, interval, until)
         else:
             self._gauge_running = False
 

@@ -262,7 +262,7 @@ class ScenarioRun:
 
         if self.path == "edge":
             for ue in self.ues:
-                network.sim.schedule(0.0, self.request_session, ue)
+                network.sim.post(0.0, self.request_session, ue)
             self.target = self.fabric.server_of_site["edge0"]
         else:
             self.target = "internet"
@@ -283,7 +283,7 @@ class ScenarioRun:
             for i, ue in enumerate(self.ues):
                 walk = WalkPath(waypoints=[(0.0, 0.0), (end_x, 0.0)],
                                 speed=self.speed)
-                network.sim.schedule(
+                network.sim.post(
                     start_at + i * self.stagger - network.sim.now,
                     lambda u=ue, w=walk: self.users.append(
                         manager.add_mobile(u, w)))

@@ -202,8 +202,7 @@ class FlowSwitch(Node):
         if done <= self.sim.now:
             self._forward(packet, rule)
         else:
-            self.sim.schedule(done - self.sim.now, self._forward,
-                              packet, rule)
+            self.sim.post(done - self.sim.now, self._forward, packet, rule)
 
     def _forward(self, packet: Packet, rule: FlowRule) -> None:
         rule.record(packet)

@@ -16,15 +16,22 @@ seq, fn, args, handle)``:
 The run loop takes the lesser of the two heads by comparing the two
 entries.  ``handle`` is the :class:`Event` of a public, cancellable
 event (:meth:`Simulator.schedule`, :meth:`Event.reschedule`) and
-``None`` for an engine-internal one (process steps, future settlement,
-link arrivals), which therefore never allocates an :class:`Event`.
+``None`` for a handle-less one, which therefore never allocates an
+:class:`Event`: process steps, future settlement, and everything armed
+through :meth:`Simulator.post` -- link arrivals, process sleeps, and
+the fire-and-forget timers whose callers never cancel them (a switch's
+CPU-done hop, ping sends, paced transfer chunks, server replies).
+``post`` takes the key ``schedule`` would have given (same time,
+priority 0, next sequence number), so moving a caller between the two
+changes no order.
 Cancelling an event leaves a tombstone in place (O(1)); tombstones are
 skipped when reached, and the heap is compacted in O(n) once it holds
 more than twice as many entries as there are live events.
 
 Two programming styles are supported:
 
-* callback style -- ``sim.schedule(delay, fn, *args)``;
+* callback style -- ``sim.schedule(delay, fn, *args)``, or
+  ``sim.post(delay, fn, *args)`` when the handle is not needed;
 * process style -- ``sim.spawn(generator)`` where the generator yields
   a float delay in seconds, another :class:`Process` to join, or a
   :class:`Future` to await.
@@ -71,11 +78,15 @@ class SimulationError(RuntimeError):
     delays, etc.)."""
 
 
+def _invalid_delay(delay: float) -> SimulationError:
+    return SimulationError(f"invalid delay {delay}: must be finite "
+                           f"and non-negative")
+
+
 def _check_delay(delay: float) -> None:
     # NaN fails both comparisons, so it is rejected with the infinities
     if not 0.0 <= delay < _INF:
-        raise SimulationError(f"invalid delay {delay}: must be finite "
-                              f"and non-negative")
+        raise _invalid_delay(delay)
 
 
 class Event:
@@ -274,7 +285,7 @@ class Process:
             if not 0.0 <= delay < _INF:
                 raise SimulationError(
                     f"process {self.name!r} yielded invalid delay {delay}")
-            self._sim._schedule_internal(delay, self._step)
+            self._sim.post(delay, self._step)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
@@ -367,19 +378,40 @@ class Simulator:
                    delay == 0.0 and priority == 0)
         return event
 
-    def _schedule_internal(self, delay: float, fn: Callable[..., Any],
-                           *args: Any) -> None:
-        """Engine-internal scheduling: the caller gets no handle, so no
-        :class:`Event` is made."""
-        self._push((self.now + delay, 0, next(self._seq), fn, args, None),
-                   delay == 0.0)
+    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` to run ``delay`` seconds from now, with
+        no handle.
+
+        The fire-and-forget form of :meth:`schedule`: the same delay
+        check and the same key (``now + delay``, priority 0,
+        ``next(seq)``), so the same order, but no :class:`Event` is
+        made, nothing is returned and the call cannot be cancelled.
+        Link arrivals, process sleeps and every caller that would throw
+        the handle away use it.  The queue push is inlined: this is the
+        per-packet call.
+        """
+        if not 0.0 <= delay < _INF:
+            raise _invalid_delay(delay)
+        self._live += 1
+        self.arm_epoch += 1
+        if delay == 0.0:
+            self._now_lane.append((self.now, 0, next(self._seq), fn, args,
+                                   None))
+            return
+        heap = self._heap
+        heappush(heap, (self.now + delay, 0, next(self._seq), fn, args, None))
+        size = len(heap)
+        if size > self._heap_peak:
+            self._heap_peak = size
+        if size > 2 * self._live + COMPACT_FLOOR:
+            self._compact()
 
     def _schedule_reserved(self, time: float, seq: int,
                            fn: Callable[..., Any], *args: Any) -> None:
         """Push an internal event under a key reserved earlier.
 
-        ``time`` and ``seq`` are the key an eager ``_schedule_internal``
-        would have given the event when it was reserved (``seq`` came
+        ``time`` and ``seq`` are the key an eager :meth:`post` would
+        have given the event when it was reserved (``seq`` came
         from ``next(self._seq)`` then), so it runs exactly where the
         eager event would have run.  The key must not have run yet
         (:meth:`_key_ran`).  It always goes to the heap: an older seq

@@ -674,26 +674,29 @@ class FluidLink(Link):
 
     # -- per-packet data path ---------------------------------------------
 
-    def transmit(self, sender: "Node", packet: Packet) -> None:
-        direction = self._directions.get(id(sender))
-        if direction is not None and self.up:
-            queue = direction._fluid
-            if queue is not None:
-                # the fluid backlog occupies the same drop-tail buffer
-                queue.advance(self.sim.now)
-                occupied = queue.backlog / 8.0 + direction.queued_bytes
-                if occupied + packet.wire_size > self.queue_bytes:
-                    direction.drops += 1
-                    self._signal_drop(packet, sender, "queue-overflow")
-                    return
-        self._send(direction, sender, packet)
+    #: Link's send body, bound under this class's own name too, so
+    #: ``FluidLink.transmit`` is an attribute of the class that per-class
+    #: wrappers (profilers, tracers) find.  The fluid part of a send runs
+    #: through the two hooks below, which the body calls on a direction
+    #: that carries a fluid queue.
+    transmit = Link.transmit
 
-    def _transmit_packet(self, direction: "_Direction", packet: Packet,
-                         wire_size: int) -> None:
-        wait = 0.0
+    def _fluid_admits(self, direction: "_Direction", sender: "Node",
+                      packet: Packet, wire_size: int) -> bool:
+        """Whether the packet fits the drop-tail buffer its direction
+        shares with the fluid backlog; a packet that does not is
+        dropped here."""
         queue = direction._fluid
-        if queue is not None:
-            priority = (self.priority_of(packet) if self.qos_priority
-                        else None)
-            wait = queue.packet_wait(self.sim.now, priority=priority)
-        super()._transmit_packet(direction, packet, wire_size, wait)
+        queue.advance(self.sim.now)
+        occupied = queue.backlog / 8.0 + direction.queued_bytes
+        if occupied + wire_size > self.queue_bytes:
+            direction.drops += 1
+            self._signal_drop(packet, sender, "queue-overflow")
+            return False
+        return True
+
+    def _fluid_wait(self, direction: "_Direction", packet: Packet) -> float:
+        """The wait behind the fluid backlog of a packet going on the
+        wire now (added to its transmission time)."""
+        priority = self.priority_of(packet) if self.qos_priority else None
+        return direction._fluid.packet_wait(self.sim.now, priority=priority)

@@ -17,12 +17,25 @@ under that key only if a packet waits behind it.  Until that key has
 run the direction is busy; after it, idle.  The queue is non-empty only
 while an armed tx-done is pending, so every event runs in the order the
 eager two-event version gave it.
+
+A send on an idle direction is one body, :meth:`Link.transmit`: it
+looks the direction up once, reads ``wire_size`` once and posts the
+arrival through :meth:`Simulator.post <repro.sim.engine.Simulator.post>`.
+The armed tx-done (:meth:`Link._start_transmission`) is the same step
+for a packet that waited.  A :class:`~repro.sim.fluid.FluidLink` adds
+its part through two hooks called when a direction carries a fluid
+queue, not through a copy of the body.
+
+Radio jitter is drawn :data:`JITTER_BLOCK` values at a time from the
+link's generator and handed out in draw order, so each packet gets the
+value a scalar draw would have given it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -41,6 +54,51 @@ DEFAULT_QUEUE_BYTES = 150_000
 #: lazily from repro.epc.qos to avoid a circular import; packets without
 #: a QCI get the lowest priority.
 _BEST_EFFORT_PRIORITY = 100
+
+#: Jitter draws taken from a link's generator at a time.  Small on
+#: purpose: a pending block is held per generator, and there is one
+#: generator per radio link.
+JITTER_BLOCK = 32
+
+
+class _UnitDraws:
+    """The standard-uniform draws of one generator, taken
+    :data:`JITTER_BLOCK` at a time and handed out in draw order.
+
+    ``Generator.random(n)`` gives the same values as ``n`` scalar calls,
+    and ``uniform(0, j)`` is ``j * random()`` exactly, so a link
+    reading ``jitter * next()`` gets the value a scalar
+    ``uniform(0, jitter)`` draw would have given.  Links built on one
+    generator share one instance (:func:`_unit_draws`): a radio link
+    made again for a cell its UE had left goes on where the last one
+    stopped, as scalar draws would.
+    """
+
+    __slots__ = ("rng", "_block", "__weakref__")
+
+    def __init__(self, rng) -> None:
+        self.rng = rng
+        self._block: list[float] = []
+
+    def next(self) -> float:
+        block = self._block
+        if not block:
+            block = self._block = self.rng.random(JITTER_BLOCK).tolist()
+            block.reverse()
+        return block.pop()
+
+
+#: id(generator) -> its draws, while some link holds them.  The entry
+#: holds the generator itself, so the id cannot be reused under it.
+_DRAWS: "weakref.WeakValueDictionary[int, _UnitDraws]" = \
+    weakref.WeakValueDictionary()
+
+
+def _unit_draws(rng) -> _UnitDraws:
+    draws = _DRAWS.get(id(rng))
+    if draws is None or draws.rng is not rng:
+        draws = _DRAWS[id(rng)] = _UnitDraws(rng)
+    return draws
 
 
 class _Direction:
@@ -112,6 +170,13 @@ class Link:
         Optional per-packet propagation jitter: each packet's delay is
         ``delay + Uniform(0, jitter)`` drawn from ``rng``.  Models radio
         scheduling/HARQ variability.
+    rng:
+        The numpy ``Generator`` jitter is drawn from.  It must be the
+        link's own stream (as ``net.link.<name>`` and
+        ``net.radio.<ue>.<enb>`` are): draws are taken
+        :data:`JITTER_BLOCK` at a time, ahead of use, so anything else
+        drawing from it would see the stream moved on.  Links built on
+        the same generator share its blocks.
     bandwidth_reverse:
         Optional capacity of the reverse direction (from the *second*
         attached endpoint toward the first).  Default: symmetric.  An
@@ -149,10 +214,8 @@ class Link:
         self._endpoints: list["Node"] = []
         self._directions: dict[int, _Direction] = {}
         self._qci_priorities: dict[int, int] = {}
-        # pre-bound propagation sampler: the jitter branch is decided
-        # once at construction, not once per transmitted packet
-        self._propagation = (self._propagation_jittered if jitter > 0
-                             else self._propagation_fixed)
+        # the jitter draw, pre-bound (None: a fixed delay)
+        self._unit_draw = _unit_draws(rng).next if jitter > 0 else None
         # drop-hook verdict cached against the bus subscription
         # generation (a dict probe per drop became one int compare)
         self._drop_hook_gen = -1
@@ -209,31 +272,53 @@ class Link:
     # -- data path --------------------------------------------------------
 
     def transmit(self, sender: "Node", packet: Packet) -> None:
-        """Queue a packet for transmission from ``sender`` to the peer."""
-        self._send(self._directions.get(id(sender)), sender, packet)
+        """Queue a packet for transmission from ``sender`` to the peer.
 
-    def _send(self, direction: Optional[_Direction], sender: "Node",
-              packet: Packet) -> None:
-        """The send body of :meth:`transmit`, given the direction out of
-        ``sender`` (``None``: not attached) that the caller looked up."""
+        On an idle direction the packet goes on the wire here: its
+        arrival is posted and its tx-done key reserved.  On a busy one
+        it queues, and the tx-done is armed to send it.  A direction
+        carrying a fluid queue consults the ``_fluid_admits`` and
+        ``_fluid_wait`` hooks of :class:`~repro.sim.fluid.FluidLink`.
+        """
+        direction = self._directions.get(id(sender))
         if direction is None:
             raise ValueError(
                 f"{sender!r} is not attached to link {self.name}")
         if not self.up:
             self._signal_drop(packet, sender, "link-down")
             return
+        wire_size = packet.wire_size
+        fluid = direction._fluid
+        if fluid is not None and not self._fluid_admits(
+                direction, sender, packet, wire_size):
+            return
         sim = self.sim
+        now = sim.now
         done = direction.done_time
-        if done < sim.now or (done == sim.now
-                              and sim._key_ran(direction.done_seq)):
+        if done < now or (done == now and sim._key_ran(direction.done_seq)):
             # idle direction (so its queue is empty): enqueue-then-
-            # dequeue would hand back this same packet, so transmit it
-            wire_size = packet.wire_size
+            # dequeue would hand back this same packet, so send it
             if wire_size > self.queue_bytes:
                 direction.drops += 1
                 self._signal_drop(packet, sender, "queue-overflow")
                 return
-            self._transmit_packet(direction, packet, wire_size)
+            receiver = direction.peer
+            if receiver is None:
+                raise ValueError(f"link {self.name} is not fully wired")
+            tx_time = wire_size * 8 / direction.bandwidth
+            if fluid is not None:
+                tx_time += self._fluid_wait(direction, packet)
+            direction.tx_packets += 1
+            direction.tx_bytes += wire_size
+            draw = self._unit_draw
+            sim.post(tx_time + (self.delay if draw is None
+                                else self.delay + self.jitter * draw()),
+                     receiver.receive, packet, self)
+            # reserve the tx-done's key, taking the seq an eager push
+            # would have taken; nothing waits behind it, so it stays
+            # unarmed
+            direction.done_time = now + tx_time
+            direction.done_seq = next(sim._seq)
             return
         if not direction.enqueue(packet):
             self._signal_drop(packet, sender, "queue-overflow")
@@ -259,33 +344,21 @@ class Link:
             hooks.emit(PacketDropped(link=self, packet=packet,
                                      sender=sender, reason=reason))
 
-    def _propagation_fixed(self) -> float:
-        return self.delay
-
-    def _propagation_jittered(self) -> float:
-        return self.delay + float(self.rng.uniform(0.0, self.jitter))
-
     def _start_transmission(self, direction: _Direction) -> None:
-        """The armed tx-done: a packet waits, so send the next one."""
+        """The armed tx-done: a packet waits, so send the next one (the
+        idle send of :meth:`transmit`, for a packet that queued)."""
         packet = direction.dequeue()
-        self._transmit_packet(direction, packet, packet.wire_size)
-
-    def _transmit_packet(self, direction: _Direction, packet: Packet,
-                         wire_size: int, wait: float = 0.0) -> None:
-        """Put a packet on the wire after ``wait`` seconds of extra
-        queueing (the fluid backlog ahead of it, see FluidLink)."""
-        receiver = direction.peer
-        if receiver is None:
-            raise ValueError(f"link {self.name} is not fully wired")
-        tx_time = wait + wire_size * 8 / direction.bandwidth
+        wire_size = packet.wire_size
+        tx_time = wire_size * 8 / direction.bandwidth
+        if direction._fluid is not None:
+            tx_time += self._fluid_wait(direction, packet)
         direction.tx_packets += 1
         direction.tx_bytes += wire_size
-        # internal scheduling: a plain queue entry, no Event object
         sim = self.sim
-        sim._schedule_internal(tx_time + self._propagation(),
-                               receiver.receive, packet, self)
-        # reserve the tx-done's key, taking the seq an eager push would
-        # have taken; push it now only if packets are already waiting
+        draw = self._unit_draw
+        sim.post(tx_time + (self.delay if draw is None
+                            else self.delay + self.jitter * draw()),
+                 direction.peer.receive, packet, self)
         done = direction.done_time = sim.now + tx_time
         seq = direction.done_seq = next(sim._seq)
         direction.armed = bool(direction._fifo or direction._prio_heap)

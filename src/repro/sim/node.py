@@ -26,13 +26,32 @@ class Node:
         self.name = name
         self.ip = ip or name
         self.ports: dict[str, "Link"] = {}
+        # link -> its port name, kept by attach/detach for the reverse
+        # lookup every echoed or replied packet makes
+        self._link_ports: dict["Link", str] = {}
         self.rx_count = 0
         self.tx_count = 0
 
     def attach(self, port: str, link: "Link") -> None:
-        """Bind a named port to a link endpoint."""
+        """Bind a named port to a link endpoint (re-binding the port if
+        it was bound to another link)."""
+        old = self.ports.get(port)
         self.ports[port] = link
+        if old is not None and old is not link:
+            self._unbind(old, port)
+        self._link_ports.setdefault(link, port)
         link.register_endpoint(self)
+
+    def detach(self, port: str) -> None:
+        """Unbind a named port (no-op if it is not bound).  The link
+        keeps its endpoint: packets already in flight still arrive."""
+        link = self.ports.pop(port, None)
+        if link is not None:
+            self._unbind(link, port)
+
+    def _unbind(self, link: "Link", port: str) -> None:
+        if self._link_ports.get(link) == port:
+            del self._link_ports[link]
 
     def send(self, port: str, packet: Packet) -> None:
         """Transmit a packet out of a named port."""
@@ -51,11 +70,9 @@ class Node:
         """Process an arriving packet.  Default: drop silently."""
 
     def port_for_link(self, link: "Link") -> Optional[str]:
-        """Reverse lookup: the port name a link is attached to."""
-        for port, candidate in self.ports.items():
-            if candidate is link:
-                return port
-        return None
+        """Reverse lookup: the port name a link is attached to, or
+        ``None``."""
+        return self._link_ports.get(link)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -80,7 +80,7 @@ class TcpSource(Node):
     # -- control -----------------------------------------------------------
 
     def start(self, at: float = 0.0) -> None:
-        self.sim.schedule(at, self._launch)
+        self.sim.post(at, self._launch)
 
     def _launch(self) -> None:
         self.started_at = self.sim.now

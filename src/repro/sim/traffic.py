@@ -189,7 +189,7 @@ class GreedySource(Node):
         self.started_at: Optional[float] = None
 
     def start(self, at: float = 0.0) -> None:
-        self.sim.schedule(at, self._launch)
+        self.sim.post(at, self._launch)
 
     def _launch(self) -> None:
         self.started_at = self.sim.now
@@ -208,8 +208,8 @@ class GreedySource(Node):
         self.acks_received += 1
         self.bytes_acked += packet.size
         if self.ack_jitter > 0:
-            self.sim.schedule(float(self.rng.uniform(0.0, self.ack_jitter)),
-                              self._send_one)
+            self.sim.post(float(self.rng.uniform(0.0, self.ack_jitter)),
+                          self._send_one)
         else:
             self._send_one()
 

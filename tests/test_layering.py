@@ -123,11 +123,14 @@ def test_sim_is_fully_self_contained():
                     f"{path.name} imports {imported}"
 
 
-#: Event-queue internals: the tuple heap, the now lane and the
-#: unvalidated internal arm path are private to ``repro.sim``.
-#: Everything else must go through ``Simulator()`` /
-#: ``Simulator.schedule()`` / ``Simulator.profile()``.
-SCHEDULER_INTERNALS = {"_heap", "_now_lane", "_schedule_internal"}
+#: Event-queue internals: the tuple heap, the now lane, the links'
+#: reserved-key path (``_schedule_reserved``, ``_key_ran``) and the
+#: run loop's key watermark (``_mark_all_ran``, ``_run_seq``) are
+#: private to ``repro.sim``.  Everything else must go through
+#: ``Simulator()`` / ``Simulator.schedule()`` / ``Simulator.post()`` /
+#: ``Simulator.profile()``.
+SCHEDULER_INTERNALS = {"_heap", "_now_lane", "_schedule_reserved",
+                       "_key_ran", "_mark_all_ran", "_run_seq"}
 
 
 #: Fluid data-plane internals: entry and wait tables, per-direction queues

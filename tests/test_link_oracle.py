@@ -9,7 +9,9 @@ and strict-priority links, jitter, fluid background switched on and
 off, link flaps, and sends made between ``run(until=...)`` calls,
 between ``step()`` calls, from a ``run_until_complete`` process and
 after a ``max_events`` stop -- and require the same arrivals, drops and
-transmit counters.
+transmit counters.  The eager side draws jitter one scalar at a time,
+so the same arrivals also mean the lazy side's block draws hand out
+the scalar values.
 
 Sizes, bandwidths, delays and send times sit on a dyadic grid, so
 tx-dones tie exactly with arrivals and sends: ties are where the
@@ -34,17 +36,22 @@ QUEUE_BYTES = 2048
 
 class EagerLink(Link):
     """The two-event data path: every transmission pushes its tx-done,
-    which frees the transmitter or starts the next queued packet."""
+    which frees the transmitter or starts the next queued packet.
+    Jitter is one scalar ``uniform(0, jitter)`` draw per packet."""
 
-    def _send(self, direction, sender, packet):
+    def transmit(self, sender, packet):
+        direction = self._directions.get(id(sender))
         if direction is None:
             raise ValueError(f"{sender!r} is not attached")
         if not self.up:
             self._signal_drop(packet, sender, "link-down")
             return
+        wire_size = packet.wire_size
+        if direction._fluid is not None and not self._fluid_admits(
+                direction, sender, packet, wire_size):
+            return
         busy = getattr(direction, "busy", False)
         if not busy and direction.queued_bytes == 0:
-            wire_size = packet.wire_size
             if wire_size > self.queue_bytes:
                 direction.drops += 1
                 self._signal_drop(packet, sender, "queue-overflow")
@@ -64,19 +71,24 @@ class EagerLink(Link):
             return
         self._transmit_packet(direction, packet, packet.wire_size)
 
-    def _transmit_packet(self, direction, packet, wire_size, wait=0.0):
+    def _transmit_packet(self, direction, packet, wire_size):
         direction.busy = True
+        wait = (0.0 if direction._fluid is None
+                else self._fluid_wait(direction, packet))
         tx_time = wait + wire_size * 8 / direction.bandwidth
         direction.tx_packets += 1
         direction.tx_bytes += wire_size
+        propagation = self.delay
+        if self.jitter > 0:
+            propagation += float(self.rng.uniform(0.0, self.jitter))
         sim = self.sim
-        sim._schedule_internal(tx_time + self._propagation(),
-                               direction.peer.receive, packet, self)
-        sim._schedule_internal(tx_time, self._start_transmission, direction)
+        sim.post(tx_time + propagation, direction.peer.receive, packet, self)
+        sim.post(tx_time, self._start_transmission, direction)
 
 
-class EagerFluidLink(FluidLink, EagerLink):
-    """FluidLink's buffer sharing and fluid wait on the eager path."""
+class EagerFluidLink(EagerLink, FluidLink):
+    """FluidLink's buffer sharing and fluid wait (its hooks) on the
+    eager path."""
 
 
 class Relay(Node):
@@ -257,6 +269,47 @@ def test_same_arrivals_drops_and_counters_as_eager(seed, qos_fluid):
                if isinstance(c, dict))
     # and the lazy path ran fewer events: idle tx-dones were never pushed
     assert lazy_events < eager_events
+
+
+def test_node_send_reaches_the_oracle_override(monkeypatch):
+    """``Node.send`` calls whatever ``transmit`` the link's class
+    resolves: the eager oracle (also over FluidLink) really runs its
+    own send path, not Link's single send body."""
+    assert EagerFluidLink.transmit is EagerLink.transmit
+    calls = {}
+    eager_transmit = EagerLink.transmit
+
+    def counting(self, sender, packet):
+        calls[self.name] = calls.get(self.name, 0) + 1
+        eager_transmit(self, sender, packet)
+
+    monkeypatch.setattr(EagerLink, "transmit", counting)
+    world = World(EagerLink, EagerFluidLink, seed=0, qos_fluid=False)
+    world.drive()
+    assert isinstance(world.links["de"], FluidLink)
+    assert calls["de"] > 0
+    assert sum(calls.values()) == sum(n.tx_count
+                                      for n in world.nodes.values())
+
+
+@pytest.mark.parametrize("base", [Link, FluidLink])
+def test_node_send_reaches_a_link_subclass_override(base):
+    class Recording(base):
+        def transmit(self, sender, packet):
+            self.seen.append(packet.packet_id)
+            super().transmit(sender, packet)
+
+    sim = Simulator()
+    a, b = Node(sim, "a"), Node(sim, "b")
+    link = Recording(sim, "l", bandwidth=BANDWIDTH, delay=GRID)
+    link.seen = []
+    a.attach("p", link)
+    b.attach("p", link)
+    for packet_id in (1, 2):
+        a.send("p", Packet(src="a", dst="b", size=64, packet_id=packet_id))
+    sim.run()
+    assert link.seen == [1, 2]
+    assert link.stats(a)["tx_packets"] == 2
 
 
 def test_unarmed_tx_done_is_not_pending():

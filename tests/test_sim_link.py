@@ -1,9 +1,10 @@
 """Unit tests for links: serialization, propagation, queueing, QoS."""
 
+import numpy as np
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.link import Link
+from repro.sim.link import JITTER_BLOCK, Link
 from repro.sim.node import Node, PacketSink
 from repro.sim.packet import Packet
 
@@ -177,3 +178,88 @@ def test_invalid_reverse_bandwidth_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         Link(sim, "l", bandwidth=1e6, bandwidth_reverse=0.0, delay=0.0)
+
+
+def test_jitter_blocks_hand_out_the_scalar_draws():
+    """Jitter is drawn a block at a time; every packet still gets
+    ``delay + uniform(0, jitter)`` of one scalar draw of the same seed,
+    in order and across block boundaries, on both the idle send and the
+    queued (tx-done) path."""
+    bandwidth, delay, jitter = 1e6, 0.01, 0.003
+    sim = Simulator()
+    src, sink, _ = wire(sim, bandwidth=bandwidth, delay=delay,
+                        jitter=jitter, rng=np.random.default_rng(11))
+    tx = 100 * 8 / bandwidth
+    spaced, burst = 40, 60          # 100 packets: over three blocks
+    for i in range(spaced):
+        sim.schedule(i * 0.05, src.send, "out", pkt(size=100, packet_id=i))
+    start = spaced * 0.05
+    sim.schedule(start, lambda: [src.send("out",
+                                          pkt(size=100, packet_id=i))
+                                 for i in range(spaced, spaced + burst)])
+    sim.run()
+    # jitter outlasts a transmission, so the burst arrives out of order
+    arrivals = dict(zip((p.packet_id for p in sink.received),
+                        sink.arrival_times))
+    assert spaced + burst > 2 * JITTER_BLOCK + 1
+    ref = np.random.default_rng(11)
+    expected = [i * 0.05 + (tx + (delay + float(ref.uniform(0.0, jitter))))
+                for i in range(spaced)]
+    wire_free = start
+    for _ in range(burst):
+        expected.append(wire_free
+                        + (tx + (delay + float(ref.uniform(0.0, jitter)))))
+        wire_free = wire_free + tx
+    assert [arrivals[i] for i in range(spaced + burst)] == expected
+
+
+def test_links_on_one_generator_share_its_draws():
+    """Two links built on one generator (a radio link made again for a
+    cell the UE rejoins) draw from it in send order, as scalar draws
+    would, whatever their jitter."""
+    sim = Simulator()
+    rng = np.random.default_rng(5)
+    src = Node(sim, "src")
+    sinks, links = [], []
+    for k, jitter in enumerate((0.002, 0.005)):
+        sink = PacketSink(sim, f"dst{k}")
+        link = Link(sim, f"l{k}", bandwidth=1e6, delay=0.0, jitter=jitter,
+                    rng=rng)
+        src.attach(f"out{k}", link)
+        sink.attach("in", link)
+        sinks.append(sink)
+        links.append(link)
+    order = [k for k in (0, 1, 1, 0, 1) * 15]
+    for i, k in enumerate(order):
+        sim.schedule(i * 0.01, src.send, f"out{k}", pkt(size=100))
+    sim.run()
+    ref = np.random.default_rng(5)
+    expected = ([], [])
+    for i, k in enumerate(order):
+        draw = float(ref.uniform(0.0, links[k].jitter))
+        expected[k].append(i * 0.01 + (100 * 8 / 1e6 + (0.0 + draw)))
+    assert [sink.arrival_times for sink in sinks] == list(expected)
+
+
+def test_port_for_link_follows_attach_and_detach():
+    """The reverse port lookup is a map kept by attach/detach: it
+    follows a port re-bound to a new link and a port unbound."""
+    sim = Simulator()
+    node = Node(sim, "n")
+    peers = [Node(sim, f"p{k}") for k in range(3)]
+    links = [Link(sim, f"l{k}", bandwidth=1e6, delay=0.0) for k in range(3)]
+    for peer, link in zip(peers, links):
+        peer.attach("up", link)
+    node.attach("a", links[0])
+    node.attach("b", links[1])
+    assert node.port_for_link(links[0]) == "a"
+    assert node.port_for_link(links[1]) == "b"
+    assert node.port_for_link(links[2]) is None
+    # re-bind "a" (a handover replacing the radio link)
+    node.attach("a", links[2])
+    assert node.port_for_link(links[2]) == "a"
+    assert node.port_for_link(links[0]) is None
+    node.detach("b")
+    node.detach("b")                     # unbound: a no-op
+    assert node.port_for_link(links[1]) is None
+    assert node.ports == {"a": links[2]}

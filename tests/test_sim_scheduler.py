@@ -1,7 +1,8 @@
 """Event-queue order: the simulator against a sorted-list oracle.
 
 The queue's whole contract is the total order ``(time, priority, seq)``
-with ties broken by insertion sequence.  :class:`Oracle` below realises
+with ties broken by insertion sequence, whichever of ``schedule`` and
+the handle-less ``post`` armed an event.  :class:`Oracle` below realises
 that order in the plainest way there is -- a list of keys kept sorted
 by insertion -- and the tests replay identical randomized
 workloads on it and on :class:`~repro.sim.engine.Simulator`, comparing
@@ -61,6 +62,9 @@ class Oracle:
     def schedule(self, delay, fn, *args, priority=0):
         return OracleEvent(self, delay, priority, fn, args)
 
+    def post(self, delay, fn, *args):
+        OracleEvent(self, delay, 0, fn, args)
+
     def run(self, until=None):
         while self.queue:
             event = self.queue[0][3]
@@ -83,16 +87,23 @@ def traced(sim):
     each callback is wrapped to log the running event's key (``now``
     and the ``(priority, seq)`` the loop recorded) before it runs."""
     sim.trace = []
-    schedule = sim.schedule
+    schedule, post = sim.schedule, sim.post
 
-    def recording_schedule(delay, fn, *args, priority=0):
+    def recording(fn):
         def record(*call_args):
             sim.trace.append((sim.now, sim._run_priority, sim._run_seq,
                               fn.__name__, call_args))
             fn(*call_args)
-        return schedule(delay, record, *args, priority=priority)
+        return record
+
+    def recording_schedule(delay, fn, *args, priority=0):
+        return schedule(delay, recording(fn), *args, priority=priority)
+
+    def recording_post(delay, fn, *args):
+        return post(delay, recording(fn), *args)
 
     sim.schedule = recording_schedule
+    sim.post = recording_post
     return sim
 
 
@@ -126,17 +137,25 @@ def _delay(rng):
 
 def mixed_workload(sim, rng, n_roots=300):
     """Nested scheduling, cancels, non-zero priorities (zero-delay ones
-    too) and ``run(until=...)`` stops."""
+    too) and ``run(until=...)`` stops; about two in five of the
+    default-priority events are armed through the handle-less
+    ``post``, interleaved with ``schedule`` calls at the same times."""
     handles = []
+
+    def arm(delay, fn, *args, priority):
+        if priority == 0 and rng.random() < 0.4:
+            sim.post(delay, fn, *args)
+        else:
+            handles.append(sim.schedule(delay, fn, *args,
+                                        priority=priority))
 
     def leaf(tag, depth):
         pass
 
     def nested(tag, depth):
         if depth > 0:
-            priority = rng.choice([0, 0, -1, 2])
-            handles.append(sim.schedule(_delay(rng), nested, tag, depth - 1,
-                                        priority=priority))
+            arm(_delay(rng), nested, tag, depth - 1,
+                priority=rng.choice([0, 0, -1, 2]))
         if handles and rng.random() < 0.3:
             handles.pop(rng.randrange(len(handles))).cancel()
 
@@ -145,8 +164,7 @@ def mixed_workload(sim, rng, n_roots=300):
             tag = f"r{base + i}"
             priority = rng.choice([0, 0, 0, 0, -1, 1, 5])
             fn = nested if rng.random() < 0.2 else leaf
-            handles.append(sim.schedule(_delay(rng), fn, tag, 2,
-                                        priority=priority))
+            arm(_delay(rng), fn, tag, 2, priority=priority)
             if handles and rng.random() < 0.2:
                 handles.pop(rng.randrange(len(handles))).cancel()
 
@@ -160,7 +178,9 @@ def mixed_workload(sim, rng, n_roots=300):
 
 def flood_workload(sim, rng, n_sources=60, packets=40, check=None):
     """Cancel-heavy flood: every packet arms a retransmission guard far
-    out and cancels the previous one, so almost every timer dies young."""
+    out and cancels the previous one, so almost every timer dies young.
+    The packet hops themselves are posted: heap entries without a
+    handle sit among the tombstones that compaction drops."""
     guards = {}
 
     def expire(src):
@@ -174,8 +194,8 @@ def flood_workload(sim, rng, n_sources=60, packets=40, check=None):
             check()
         if left:
             guards[src] = sim.schedule(1.0 + rng.random(), expire, src)
-            sim.schedule(rng.choice([0.0, 1e-4, 2e-4, 5e-4]), packet, src,
-                         left - 1)
+            sim.post(rng.choice([0.0, 1e-4, 2e-4, 5e-4]), packet, src,
+                     left - 1)
 
     for src in range(n_sources):
         sim.schedule(rng.random() * 1e-3, packet, src, packets)
@@ -342,7 +362,7 @@ def _entries(sim):
 
 
 def test_internal_entries_carry_no_handle(monkeypatch):
-    """Internal, step and reserved entries are plain tuples: no
+    """Posted, step and reserved entries are plain tuples: no
     :class:`Event` is made for them, and they run in key order."""
     made = []
     init = Event.__init__
@@ -354,8 +374,8 @@ def test_internal_entries_carry_no_handle(monkeypatch):
     monkeypatch.setattr(Event, "__init__", counting_init)
     sim = Simulator()
     ran = []
-    sim._schedule_internal(0.002, ran.append, "internal")
-    sim._schedule_internal(0.0, ran.append, "internal-now")
+    assert sim.post(0.002, ran.append, "internal") is None
+    assert sim.post(0.0, ran.append, "internal-now") is None
     sim._schedule_step(ran.append, "step")
     seq = next(sim._seq)
     sim._schedule_reserved(0.001, seq, ran.append, "reserved")
@@ -371,12 +391,39 @@ def test_internal_entries_carry_no_handle(monkeypatch):
     assert sim.pending == 0
 
 
+@pytest.mark.parametrize("delay", [float("nan"), -1e-9, -1.0,
+                                   float("inf"), float("-inf")])
+def test_post_rejects_what_schedule_rejects(delay):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(delay, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post(delay, lambda: None)
+    assert sim.pending == 0
+    assert sim.next_event_time() is None
+
+
+def test_post_returns_nothing_and_counts_as_pending():
+    sim = Simulator()
+    ran = []
+    assert sim.post(0.0, ran.append, "now") is None
+    assert sim.post(0.01, ran.append, "later") is None
+    assert sim.pending == 2
+    assert sim.next_event_time() == 0.0
+    sim.run(max_events=1)
+    assert sim.pending == 1
+    sim.run()
+    assert ran == ["now", "later"]
+    assert sim.pending == 0
+    assert sim.events_run == 2
+
+
 def test_public_handle_cancels_before_it_runs():
     sim = Simulator()
     ran = []
     lane = sim.schedule(0.0, ran.append, "lane")
     heap = sim.schedule(0.01, ran.append, "heap")
-    sim._schedule_internal(0.005, ran.append, "internal")
+    sim.post(0.005, ran.append, "internal")
     assert sim.pending == 3
     lane.cancel()
     heap.cancel()
