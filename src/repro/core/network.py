@@ -415,6 +415,11 @@ class MobileNetwork:
             self.paging.track(ue)
         return ue
 
+    @staticmethod
+    def _radio_port(ue: UEDevice) -> str:
+        """The eNB port a UE's radio link attaches to."""
+        return f"radio:{ue.name}"
+
     def _wire_radio(self, ue: UEDevice, enb: ENodeB,
                     ul_bandwidth: Optional[float] = None) -> str:
         cfg = self.config
@@ -430,7 +435,7 @@ class MobileNetwork:
         # the UE attaches first: its outbound direction is the uplink
         ue.detach("radio")              # drop any previous cell's link
         ue.attach("radio", radio)
-        port = f"radio:{ue.name}"
+        port = self._radio_port(ue)
         enb.attach(port, radio)
         # RRC signalling now contends on the (new) cell's shared channel
         self.control_plane.join_cell(ue.name, enb.name)
@@ -458,11 +463,19 @@ class MobileNetwork:
         return enb
 
     def handover_async(self, ue: UEDevice, target_enb_name: str):
-        """Wire the target-cell radio and start the X2 handover as a
-        process (its value is the :class:`ProcedureResult`)."""
+        """Start the X2 handover as a process (its value is the
+        :class:`ProcedureResult`).
+
+        Only a real handover -- a connected UE moving to another cell --
+        wires the target-cell radio.  A handover to the serving cell is
+        a no-op and one of an idle UE fails; both leave the radio as it
+        is."""
         target = self._target_enb(target_enb_name)
-        port = self._wire_radio(ue, target)
-        return self.control_plane.handover_async(ue, target, radio_port=port)
+        if (ue.rrc_connected
+                and self.mme.context(ue.imsi).enb is not target):
+            self._wire_radio(ue, target)
+        return self.control_plane.handover_async(
+            ue, target, radio_port=self._radio_port(ue))
 
     # -- ACACIA / baseline wiring ------------------------------------------
 

@@ -7,13 +7,20 @@ it over the spec's trials, optionally through a
 order regardless of worker scheduling, and the canonical JSON contains
 no wall-clock timestamps, so ``canonical_json()`` is reproducible
 bit-for-bit across runs, machines and worker counts.
+
+A finished trial's world is cyclic garbage holding large arrays (object
+databases, candidate stacks, GEMM buffers) but few objects, so the
+collector, which counts objects, seldom frees it.  A process running
+several trials of one run therefore collects before each trial after
+its first: it holds at most one dead world, and the last one is left to
+the normal collector.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -47,6 +54,23 @@ def run_trial(trial: TrialSpec) -> TrialResult:
     except Exception:
         return TrialResult(trial=trial, status="error",
                            error=traceback.format_exc())
+
+
+#: Trials this pool worker has run.  A run forks fresh workers from a
+#: parent that never runs trials through :func:`_worker_trial`, so the
+#: count starts at zero in every worker of every run.
+_worker_trials = 0
+
+
+def _worker_trial(trial: TrialSpec) -> TrialResult:
+    """:func:`run_trial` in a pool worker, freeing the world of the
+    worker's previous trial first (none before its first trial: that
+    collection would only traverse the forked heap)."""
+    global _worker_trials
+    if _worker_trials:
+        gc.collect()
+    _worker_trials += 1
+    return run_trial(trial)
 
 
 @dataclass
@@ -92,9 +116,10 @@ class ExperimentRunner:
     """Fans a spec's trials out over worker processes.
 
     ``workers=None`` or ``1`` runs serially in-process; ``workers=N``
-    uses a :class:`ProcessPoolExecutor`.  Trials are independent by
-    construction (each builds its own :class:`SimContext` world from
-    its derived seed), so scheduling cannot affect results.
+    uses a :class:`~concurrent.futures.ProcessPoolExecutor`.  Trials
+    are independent by construction (each builds its own
+    :class:`SimContext` world from its derived seed), so scheduling
+    cannot affect results.
     """
 
     def __init__(self, spec: ExperimentSpec,
@@ -110,9 +135,15 @@ class ExperimentRunner:
         # so never ask for more workers than there are trials
         workers = min(self.workers or 1, len(trials))
         if workers <= 1:
-            results = [run_trial(trial) for trial in trials]
+            results = []
+            for n, trial in enumerate(trials):
+                if n:
+                    gc.collect()        # free the previous trial's world
+                results.append(run_trial(trial))
         else:
+            # imported here: serial runs never load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 # map preserves input order regardless of completion order
-                results = list(pool.map(run_trial, trials))
+                results = list(pool.map(_worker_trial, trials))
         return ExperimentResult(spec=self.spec, trials=results)

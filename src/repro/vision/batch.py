@@ -11,12 +11,12 @@ not assumed.
 The stages run batched across the whole candidate set, around a
 certified screen:
 
-* all candidate descriptors are stacked into one ``(R_total, d)``
-  matrix with per-object segment offsets, plus a *position-major*
-  float32 copy whose row ``j * n_obj + k`` is descriptor ``j`` of
+* all candidate descriptors are stacked into one *position-major*
+  float32 matrix whose row ``j * n_obj + k`` is descriptor ``j`` of
   object ``k`` (short segments padded with whole rows), so each frame
   costs **one** float32 GEMM producing the similarities against the
-  whole candidate set;
+  whole candidate set; the float64 descriptors stay the objects' own
+  arrays, not a stacked copy;
 * in that layout the descriptors at one segment position form one
   contiguous ``(n_obj, Q)`` plane of the similarity matrix, so the
   segment-wise maxima are elementwise maxima over planes; two
@@ -26,8 +26,8 @@ certified screen:
   error bound (the overwhelming majority) are rejected wholesale; the
   surviving lanes get an exact float32 2-NN from gathered rows, and
   only candidates that pass the forward gate -- or sit within the
-  error margin of it -- are finished in float64 per candidate on the
-  stacked slices;
+  error margin of it -- are finished in float64 per candidate on that
+  object's own descriptors;
 * all RANSAC iterations for a surviving pair run as one broadcasted
   distance computation, drawing the translation hypotheses in a single
   ``rng.integers(n, size=iterations)`` call that consumes the *same*
@@ -36,7 +36,9 @@ certified screen:
 A :class:`CandidateMatrixCache` (LRU, keyed by the sorted tuple of
 object names) lets repeated search spaces -- Naive reuses the same
 whole-floor set every frame; ACACIA sub-section sets repeat per
-checkpoint -- reuse their stacked matrix instead of re-concatenating.
+checkpoint -- reuse their stacked matrix instead of re-stacking it.
+Each matcher computes its GEMM in one growable float32 buffer (and
+rounds its query block into another), viewing a prefix of it per call.
 
 The screen only ever *rejects* lanes whose ratio test fails by more
 than the certified error bound; every decision that float32 rounding
@@ -84,17 +86,19 @@ class CandidateStack:
     any permutation of the same candidate set maps onto the same stack
     and therefore the same cache entry.  Callers translate between
     canonical positions and their own candidate order via :attr:`index`.
+    Only the float32 screen matrix is a copy: :attr:`descriptors` and
+    :attr:`keypoints` are the objects' own float64 arrays.
     """
 
     names: tuple[str, ...]              # canonical (sorted) order
-    descriptors: np.ndarray             # (R_total, d) float64, C-contiguous
+    descriptors: tuple[np.ndarray, ...]  # per object, canonical order
     screen_desc: np.ndarray             # (max_r * n_obj, d) float32,
                                         # position-major: row j * n_obj + k
                                         # is descriptor j of object k, zero
                                         # past the segment's end
     keypoints: tuple[np.ndarray, ...]   # per object, canonical order
-    starts: np.ndarray                  # (n_obj,) segment start offsets
     sizes: np.ndarray                   # (n_obj,) descriptor counts
+    total_descriptors: int              # sizes.sum()
     pad_rows: np.ndarray                # ids of the screen_desc rows past
                                         # their segment's end (empty when
                                         # all segments have one size)
@@ -102,15 +106,11 @@ class CandidateStack:
     lone_mask: np.ndarray               # (n_obj,) True where size < 2
 
     @property
-    def total_descriptors(self) -> int:
-        return self.descriptors.shape[0]
-
-    @property
     def nbytes(self) -> int:
-        """Approximate memory footprint of the cached arrays."""
-        return int(self.descriptors.nbytes + self.screen_desc.nbytes
-                   + self.pad_rows.nbytes + self.starts.nbytes
-                   + self.sizes.nbytes)
+        """Memory footprint of the arrays the stack owns (the objects'
+        own descriptor and keypoint arrays are not counted)."""
+        return int(self.screen_desc.nbytes + self.pad_rows.nbytes
+                   + self.sizes.nbytes + self.lone_mask.nbytes)
 
     @classmethod
     def build(cls, models: Sequence[ObjectModel]) -> "CandidateStack":
@@ -118,28 +118,23 @@ class CandidateStack:
         names = tuple(m.name for m in ordered)
         if len(set(names)) != len(names):
             raise ValueError("candidate set contains duplicate object names")
-        sizes = np.array([m.descriptors.shape[0] for m in ordered],
-                         dtype=np.intp)
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-        total = int(sizes.sum())
-        if total:
-            descriptors = np.ascontiguousarray(
-                np.concatenate([m.descriptors for m in ordered], axis=0),
-                dtype=np.float64)
-        else:
-            descriptors = np.zeros((0, 64), dtype=np.float64)
-        n, dim = len(ordered), descriptors.shape[1]
+        descriptors = tuple(np.ascontiguousarray(m.descriptors,
+                                                 dtype=np.float64)
+                            for m in ordered)
+        sizes = np.array([d.shape[0] for d in descriptors], dtype=np.intp)
+        n = len(ordered)
+        dim = descriptors[0].shape[1] if n else 64
         max_r = int(sizes.max()) if n else 0
         screen_desc = np.zeros((max_r, n, dim), dtype=np.float32)
-        for k, (start, size) in enumerate(zip(starts, sizes)):
-            screen_desc[:size, k] = descriptors[start:start + size]
+        for k, desc in enumerate(descriptors):
+            screen_desc[:desc.shape[0], k] = desc
         pad_rows = np.flatnonzero(np.arange(max_r)[:, None] >= sizes)
         keypoints = tuple(np.ascontiguousarray(m.keypoints, dtype=np.float64)
                           for m in ordered)
         return cls(names=names, descriptors=descriptors,
                    screen_desc=screen_desc.reshape(max_r * n, dim),
-                   keypoints=keypoints, starts=starts, sizes=sizes,
-                   pad_rows=pad_rows,
+                   keypoints=keypoints, sizes=sizes,
+                   total_descriptors=int(sizes.sum()), pad_rows=pad_rows,
                    index={name: k for k, name in enumerate(names)},
                    lone_mask=sizes < 2)
 
@@ -266,9 +261,10 @@ class BatchObjectMatcher:
         self.min_inliers = min_inliers
         self.rng = rng if rng is not None else np.random.default_rng(1234)
         self.cache = cache if cache is not None else CandidateMatrixCache()
-        # reused float32 GEMM output and operand buffers, by shape
-        self._sim_buffers: dict[tuple[int, int], np.ndarray] = {}
-        self._frame_buffers: dict[tuple[int, int], np.ndarray] = {}
+        # growable flat float32 scratch: the GEMM output and the query
+        # block; each call views a prefix of them
+        self._sim_flat = np.empty(0, dtype=np.float32)
+        self._query_flat = np.empty(0, dtype=np.float32)
         self._aranges: dict[int, np.ndarray] = {}
         # candidate-list memo: caller-order name tuple -> (canonical
         # cache key, caller-order canonical positions).  Skips the
@@ -333,16 +329,15 @@ class BatchObjectMatcher:
         return cached
 
     @staticmethod
-    def _buffer(buffers: dict[tuple[int, int], np.ndarray],
-                shape: tuple[int, int]) -> np.ndarray:
-        """Reused float32 scratch array of ``shape`` from ``buffers``."""
-        buf = buffers.get(shape)
-        if buf is None:
-            if len(buffers) >= 16:
-                buffers.clear()
-            buf = np.empty(shape, dtype=np.float32)
-            buffers[shape] = buf
-        return buf
+    def _prefix(flat: np.ndarray, shape: tuple[int, int]
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """``(flat, view)``: a ``shape`` view over a prefix of the
+        float32 scratch ``flat``, which is replaced by a larger one
+        when it is too small."""
+        size = shape[0] * shape[1]
+        if flat.size < size:
+            flat = np.empty(size, dtype=np.float32)
+        return flat, flat[:size].reshape(shape)
 
     def _screen_rows(self, queries: np.ndarray, stack: CandidateStack
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,9 +355,10 @@ class BatchObjectMatcher:
         n = len(stack.names)
         r = stack.screen_desc.shape[0] // n
 
-        frame32 = self._buffer(self._frame_buffers, queries.shape)
+        self._query_flat, frame32 = self._prefix(self._query_flat,
+                                                 queries.shape)
         frame32[...] = queries
-        sim = self._buffer(self._sim_buffers, (r * n, q))
+        self._sim_flat, sim = self._prefix(self._sim_flat, (r * n, q))
         np.matmul(stack.screen_desc, frame32.T, out=sim)
         sim[stack.pad_rows] = _PAD_SENTINEL
         lanes = sim.reshape(r, n, q)    # [segment position, object, query]
@@ -429,7 +425,7 @@ class BatchObjectMatcher:
 
     def _finish_candidate(self, frame: Frame, stack: CandidateStack,
                           position: int, name: str) -> MatchOutcome:
-        """Float64 pipeline for one candidate's stacked slice.
+        """Float64 pipeline for one candidate's own descriptors.
 
         One small GEMM serves both match directions; the 2-NN comes
         from argmin + masked-min, and the ratio test compares
@@ -438,9 +434,8 @@ class BatchObjectMatcher:
         ratio test cannot establish distinctiveness and they are
         rejected outright (the lone-candidate policy).
         """
-        start = int(stack.starts[position])
-        size = int(stack.sizes[position])
-        refs = stack.descriptors[start:start + size]
+        refs = stack.descriptors[position]
+        size = refs.shape[0]
         outcome = MatchOutcome(object_name=name)
         q = frame.descriptors.shape[0]
         if q == 0 or size < 2:     # lone-candidate policy: reject

@@ -52,16 +52,28 @@ class TestHandover:
         network.handover(ue, "enb1")
         assert network.mme.context(ue.imsi).enb.name == "enb1"
 
+    @staticmethod
+    def radio_wiring(network, ue):
+        """The links and every port a UE's radio binds, by identity."""
+        port = f"radio:{ue.name}"
+        return (dict(network.links), ue.ports.get("radio"),
+                {name: enb.ports.get(port)
+                 for name, enb in network.enbs.items()})
+
     def test_handover_noop_for_same_cell(self, network):
         ue = network.add_ue()
+        before = self.radio_wiring(network, ue)
         result = network.handover(ue, "enb0")
         assert result.message_count == 0
+        assert self.radio_wiring(network, ue) == before
 
     def test_handover_requires_connected_ue(self, network):
         ue = network.add_ue()
         network.control_plane.release_to_idle(ue)
+        before = self.radio_wiring(network, ue)
         with pytest.raises(RuntimeError, match="idle"):
             network.handover(ue, "enb1")
+        assert self.radio_wiring(network, ue) == before
 
     def test_unknown_target_enb_names_the_cell(self, network):
         ue = network.add_ue()

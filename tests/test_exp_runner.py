@@ -1,7 +1,9 @@
 """Unit tests for the declarative experiment spec and runner."""
 
+import gc
 import multiprocessing
 import os
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -10,6 +12,7 @@ import pytest
 from repro.exp import (ExperimentRunner, ExperimentSpec, PRESETS, preset,
                        run_trial, workload)
 from repro.exp.spec import TrialSpec
+from repro.exp.workloads import WORKLOADS
 from repro.sim.context import derive_seed
 
 
@@ -141,7 +144,8 @@ def test_pool_never_larger_than_the_trial_count(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr("repro.exp.runner.ProcessPoolExecutor",
+    # the runner imports the pool class inside its pool branch
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         RecordingPool)
     spec = ExperimentSpec(name="t", workload="_test_double",
                           sweep={"x": (1, 2)})
@@ -169,6 +173,67 @@ def test_worker_crash_breaks_the_pool_instead_of_hanging():
                           sweep={"crash": (False, True)})
     with pytest.raises(BrokenProcessPool):
         ExperimentRunner(spec, workers=2).run()
+
+
+# ---------------------------------------------------------------------------
+# release of finished trials' worlds
+# ---------------------------------------------------------------------------
+
+class _World:
+    """Stands in for a trial's world: weakref-able, kept in a cycle."""
+
+
+#: (pid, weakref) of the last probe world built in this process
+_last_world = None
+
+
+@pytest.fixture()
+def release_probe():
+    """A workload reporting whether the world of the previous trial run
+    in the same process is still alive when the next trial starts."""
+    global _last_world
+    _last_world = None
+
+    @workload("_test_release_probe")
+    def probe(trial):
+        global _last_world
+        previous = None
+        if _last_world is not None and _last_world[0] == os.getpid():
+            previous = _last_world[1]() is not None
+        world = _World()
+        world.self = world                  # only the cyclic collector frees it
+        # a real world lives long enough to reach the oldest generation,
+        # where only a full collection looks at it
+        gc.collect(1)
+        _last_world = (os.getpid(), weakref.ref(world))
+        return {"previous_alive": previous}
+
+    yield "_test_release_probe"
+    del WORKLOADS["_test_release_probe"]
+
+
+def _previous_alive(result):
+    assert result.ok
+    return [t.metrics["previous_alive"] for t in result.trials]
+
+
+def test_serial_run_frees_each_world_before_the_next_trial(release_probe):
+    spec = ExperimentSpec(name="t", workload=release_probe,
+                          seeds=(0, 1, 2, 3))
+    assert _previous_alive(ExperimentRunner(spec).run()) == \
+        [None, False, False, False]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="test workloads reach workers only by fork")
+def test_pool_worker_frees_each_world_before_its_next_trial(release_probe):
+    spec = ExperimentSpec(name="t", workload=release_probe,
+                          seeds=tuple(range(6)))
+    alive = _previous_alive(ExperimentRunner(spec, workers=2).run())
+    # each worker's first trial has no predecessor; six trials on two
+    # workers give at least four that do
+    assert alive.count(None) <= 2
+    assert all(a is False for a in alive if a is not None)
 
 
 # ---------------------------------------------------------------------------

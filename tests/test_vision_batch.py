@@ -117,6 +117,27 @@ class TestDifferentialEquivalence:
         assert ([outcome_tuple(o) for o in actual]
                 == [outcome_tuple(o) for o in expected])
 
+    def test_one_matcher_reuses_its_scratch_across_shapes(self, store):
+        # one matcher's GEMM and query scratch is viewed at a new shape
+        # on every call: candidate sets and query blocks that grow,
+        # shrink and grow again must still match the reference
+        extractor = FeatureExtractor(np.random.default_rng(14))
+        reference = ObjectMatcher(rng=np.random.default_rng(15))
+        batch = batch_matcher("always", rng=np.random.default_rng(15))
+        for size, resolution in ((8, R480x360), (len(store), R960x720),
+                                 (3, R720x480), (40, R480x360),
+                                 (len(store), R720x480)):
+            subset = store[:size]
+            frames = [extractor.frame_of(subset[-1], resolution),
+                      extractor.frame_of(subset[0], R480x360)]
+            expected = [reference.match_frame(f, subset) for f in frames]
+            assert ([outcome_tuple(o) for o in batch.match_frames(frames,
+                                                                  subset)]
+                    == [outcome_tuple(o) for o in expected])
+            assert (outcome_tuple(batch.match_frame(frames[0], subset))
+                    == outcome_tuple(reference.match_frame(frames[0],
+                                                           subset)))
+
     def test_block_verdicts_equal_per_frame_verdicts(self, store):
         # match_frames screens a block of frames at once; its verdicts
         # must be the per-frame verdicts stacked, frame boundaries
@@ -365,14 +386,27 @@ class TestCandidateStack:
         stack = CandidateStack.build(models)
         assert stack.total_descriptors == 30
         assert list(stack.sizes) == [10, 10, 10]
-        assert list(stack.starts) == [0, 10, 20]
         assert not stack.lone_mask.any()
         assert stack.names == tuple(sorted(m.name for m in models))
+        assert len(stack.descriptors) == len(stack.keypoints) == 3
         for model in models:
             k = stack.index[model.name]
-            start = stack.starts[k]
-            np.testing.assert_array_equal(
-                stack.descriptors[start:start + 10], model.descriptors)
+            np.testing.assert_array_equal(stack.descriptors[k],
+                                          model.descriptors)
+            np.testing.assert_array_equal(stack.keypoints[k],
+                                          model.keypoints)
+
+    def test_float64_arrays_are_the_models_own(self):
+        sizes = (6, 2, 5)
+        models = ragged_models(np.random.default_rng(4), sizes)
+        stack = CandidateStack.build(models)
+        for model in models:
+            k = stack.index[model.name]
+            assert np.shares_memory(stack.descriptors[k], model.descriptors)
+            assert np.shares_memory(stack.keypoints[k], model.keypoints)
+        owned = (stack.screen_desc, stack.pad_rows, stack.sizes,
+                 stack.lone_mask)
+        assert stack.nbytes == sum(a.nbytes for a in owned)
 
     def test_screen_desc_is_position_major(self):
         sizes = (6, 2, 5)
