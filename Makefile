@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint perfbench-selftest bench bench-resilience examples quick exp-smoke scenario-validate all clean-results
+.PHONY: test lint perfbench-selftest bench bench-resilience examples quick exp-smoke scenario-validate reachability all clean-results
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
@@ -23,6 +23,9 @@ exp-smoke:   ## tiny 2-seed experiment spec end-to-end through the parallel runn
 scenario-validate:   ## validate the whole scenario catalogue, then run the CI smoke scenario
 	PYTHONPATH=src $(PYTHON) -m repro scenario validate
 	PYTHONPATH=src $(PYTHON) -m repro scenario run quick_test --serial --output /tmp/quick_test_result.json
+
+reachability:   ## functions in src/repro that no shipped run reaches (16-18 min on 2 CPUs)
+	$(PYTHON) tools/reachability.py
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -14,8 +14,7 @@ Two axes of comparison:
 
 from repro.baselines.deployments import (DEPLOYMENT_KINDS, Deployment,
                                          EdgeFabric, build_deployment,
-                                         build_edge_fabric, build_topology,
-                                         fabric_topology)
+                                         build_topology)
 
 #: Search-space scheme names accepted by ARBackend.process_frame.
 SEARCH_SCHEMES = ("naive", "rxpower", "acacia")
@@ -26,7 +25,5 @@ __all__ = [
     "EdgeFabric",
     "SEARCH_SCHEMES",
     "build_deployment",
-    "build_edge_fabric",
     "build_topology",
-    "fabric_topology",
 ]

@@ -205,22 +205,6 @@ class EdgeFabric:
     site_of_enb: dict[str, str]
     server_of_site: dict[str, str]
 
-    @property
-    def site_names(self) -> list[str]:
-        return list(self.server_of_site)
-
-
-def fabric_topology(n_sites: int = 3, enbs_per_site: int = 2,
-                    cell_spacing: float = 100.0) -> dict:
-    """The scenario-document ``topology`` section for a linear fabric.
-
-    This is the canonical serialised form :func:`build_topology`
-    interprets; :func:`build_edge_fabric` goes through it, so the
-    hand-coded and document-driven paths construct identical worlds.
-    """
-    return {"sites": n_sites, "enbs_per_site": enbs_per_site,
-            "cell_spacing": cell_spacing}
-
 
 def build_topology(topology, *, config: NetworkConfig) -> EdgeFabric:
     """Interpret a scenario-document ``topology`` section into a fabric.
@@ -288,35 +272,3 @@ def build_topology(topology, *, config: NetworkConfig) -> EdgeFabric:
                       enb_positions=enb_positions,
                       site_of_enb=site_of_enb,
                       server_of_site=server_of_site)
-
-
-def build_edge_fabric(n_sites: int = 3, enbs_per_site: int = 2,
-                      seed: int = 0,
-                      continuity=None,
-                      signalling_config: Optional[SignallingConfig] = None,
-                      data_plane: str = "packet",
-                      cell_spacing: float = 100.0) -> EdgeFabric:
-    """Build an N-site edge fabric with one CI echo server per site.
-
-    The cells sit on a line, ``enbs_per_site`` consecutive cells homed
-    on each edge site, so a UE walking the line sweeps every site and
-    crosses ``n_sites - 1`` site boundaries.  Each site runs one
-    instance of a CI echo service registered with the MRS; handing
-    over across a boundary triggers application-context relocation
-    under ``continuity`` (a
-    :class:`~repro.core.config.ContinuityConfig`; the network default
-    when omitted).
-
-    A thin wrapper: the parameters become a :class:`NetworkConfig`
-    and a :func:`fabric_topology` section which :func:`build_topology`
-    interprets, so hand-coded experiments and scenario documents share
-    one construction path.
-    """
-    if n_sites < 2:
-        raise ValueError("an edge fabric needs at least 2 sites")
-    config = _network_config(seed, signalling_config, data_plane)
-    if continuity is not None:
-        config.continuity = continuity
-    return build_topology(
-        fabric_topology(n_sites, enbs_per_site, cell_spacing),
-        config=config)

@@ -130,8 +130,6 @@ class MobileNetwork:
         self._enb_count = itertools.count(0)
         self._server_ips = itertools.count(10)
         self._bg_count = itertools.count(1)
-        # name -> (source-or-flow, site name, flow-rule cookie or None)
-        self._bg_loads: dict[str, tuple[object, str, Optional[str]]] = {}
         self.enb = self.add_enb("enb0")     # the default base station
         self._build_central_site()
 
@@ -516,8 +514,7 @@ class MobileNetwork:
         data plane this builds a per-packet :class:`PoissonSource`; in
         ``"fluid-bg"`` mode it builds an equivalent
         :class:`~repro.sim.fluid.FluidFlow` along the same path.  Both
-        expose ``start()``/``stop()``/``name`` and can be torn down
-        independently with :meth:`remove_background_load`.
+        expose ``start()``/``stop()``/``name``.
 
         Each packet source draws from its own named RNG stream and
         installs rules under its own cookie.
@@ -545,7 +542,6 @@ class MobileNetwork:
         site.pgw_u.install(FlowRule(
             FlowMatch(src_ip=source.ip),
             [Output(f"sgi:{sink_server}")], priority=50, cookie=cookie))
-        self._bg_loads[source.name] = (source, site_name, cookie)
         return source
 
     def _fluid_cpu(self, switch) -> object:
@@ -584,26 +580,7 @@ class MobileNetwork:
         flow.add_link(sgi, site.pgw_u)
         if getattr(sink, "echo", False):
             flow.add_link(sgi, sink)
-        self._bg_loads[flow.name] = (flow, site_name, None)
         return flow
-
-    def remove_background_load(self, source) -> None:
-        """Tear down one background load (by source or name): stop its
-        arrivals and remove its flow rules from the site's GW-Us."""
-        name = source if isinstance(source, str) else source.name
-        entry = self._bg_loads.pop(name, None)
-        if entry is None:
-            raise KeyError(f"no background load named {name!r}")
-        bg, site_name, cookie = entry
-        bg.stop()
-        if cookie is not None:
-            site = self.sgwc.site(site_name)
-            site.sgw_u.remove(cookie)
-            site.pgw_u.remove(cookie)
-
-    def background_loads(self) -> tuple[str, ...]:
-        """Names of the currently-installed background loads."""
-        return tuple(self._bg_loads)
 
 
 class Pinger:

@@ -3,14 +3,12 @@
 The LTE-direct localisation manager "reads the metadata from a file:
 the number, location and names of landmarks, and the model parameters
 (alpha, beta)" (Section 6.3).  :class:`LandmarkMap` is that metadata,
-with JSON persistence standing in for the paper's file format.
+held in memory: every run builds it from the store scenario.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from repro.localization.pathloss import PathLossRegression
@@ -62,36 +60,3 @@ class LandmarkMap:
     @property
     def names(self) -> list[str]:
         return list(self._landmarks)
-
-    # -- persistence --------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "landmarks": [
-                {"name": lm.name, "x": lm.x, "y": lm.y}
-                for lm in self._landmarks.values()
-            ],
-            "regression": (
-                {"alpha": self.regression.alpha, "beta": self.regression.beta}
-                if self.regression is not None else None),
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LandmarkMap":
-        payload = json.loads(text)
-        landmarks = [Landmark(item["name"], item["x"], item["y"])
-                     for item in payload["landmarks"]]
-        regression = None
-        if payload.get("regression"):
-            regression = PathLossRegression(
-                alpha=payload["regression"]["alpha"],
-                beta=payload["regression"]["beta"])
-        return cls(landmarks=landmarks, regression=regression)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LandmarkMap":
-        return cls.from_json(Path(path).read_text())

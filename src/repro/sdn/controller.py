@@ -5,21 +5,17 @@ flow-table change is recorded as an OpenFlow control message in the
 control ledger so the overhead analysis (Section 4) sees SDN signalling
 alongside 3GPP signalling.
 
-The controller can run in two modes:
-
-* **standalone** (no fabric bound): flow-mods apply immediately and are
-  recorded synchronously -- handy for unit tests and direct scripting;
-* **fabric-bound** (see :meth:`bind_fabric`): each flow-mod is a packet
-  on the controller's per-switch OpenFlow channel; the rule is applied
-  to the switch *at delivery* and the returned
-  :class:`~repro.sim.engine.Future` resolves to the recorded
-  :class:`ControlMessage`.  This is how flow-rule installation time
-  becomes part of measured procedure latency.
+Flow-mods travel over the signalling fabric (see :meth:`bind_fabric`):
+each one is a packet on the controller's per-switch OpenFlow channel,
+the rule is applied to the switch *at delivery*, and the returned
+:class:`~repro.sim.engine.Future` resolves to the recorded
+:class:`ControlMessage`.  This is how flow-rule installation time
+becomes part of measured procedure latency.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.epc.messages import ControlMessage, MessageType
 from repro.epc.overhead import ControlLedger
@@ -39,10 +35,9 @@ _FLOW_MOD_DELETE_SIZE = 344
 class SdnController:
     """Centralised OpenFlow controller managing a set of GW-U switches."""
 
-    def __init__(self, name: str = "ryu",
-                 ledger: Optional[ControlLedger] = None) -> None:
+    def __init__(self, ledger: ControlLedger, name: str = "ryu") -> None:
         self.name = name
-        self.ledger = ledger if ledger is not None else ControlLedger()
+        self.ledger = ledger
         self.switches: dict[str, FlowSwitch] = {}
         self.flow_mods_sent = 0
         self._fabric: Optional["SignallingFabric"] = None
@@ -77,31 +72,18 @@ class SdnController:
         self._fabric.open_channel(f"of.{switch.name}", "OpenFlow",
                                   [self.name], [switch.name])
 
-    def _record(self, kind: str, switch: FlowSwitch, size: int,
-                detail: str) -> None:
-        mtype = MessageType("OpenFlow", f"FlowMod({kind},{switch.name})", size)
-        self.ledger.record(ControlMessage(
-            mtype, sender=self.name, receiver=switch.name,
-            fields={"detail": detail}))
-        self.flow_mods_sent += 1
-
     def install_rule(self, switch_name: str, rule: FlowRule,
                      size: int = _FLOW_MOD_ADD_SIZE,
-                     telemetry: Any = None) -> Union[None, "Future"]:
+                     telemetry: Any = None) -> "Future":
         """Add a flow rule (one OpenFlow flow-mod message).
 
-        Fabric-bound, returns a future resolving to the recorded
-        message once the flow-mod reaches the switch (which is when the
-        rule takes effect); standalone, applies immediately and returns
-        ``None``.  Over a lossy channel the flow-mod is retransmitted
+        Returns a future resolving to the recorded message once the
+        flow-mod reaches the switch (which is when the rule takes
+        effect).  Over a lossy channel the flow-mod is retransmitted
         per :attr:`retry_policy`; ``telemetry`` accumulates the retry
         counts (typically the owning procedure's result).
         """
         switch = self._switch(switch_name)
-        if self._fabric is None:
-            switch.install(rule)
-            self._record("add", switch, size, rule.match.describe())
-            return None
         mtype = MessageType("OpenFlow", f"FlowMod(add,{switch.name})", size)
 
         def apply(message: ControlMessage) -> None:
@@ -116,19 +98,14 @@ class SdnController:
 
     def remove_rules(self, switch_name: str, cookie: str,
                      size: int = _FLOW_MOD_DELETE_SIZE,
-                     telemetry: Any = None) -> Union[int, "Future"]:
+                     telemetry: Any = None) -> "Future":
         """Delete all rules carrying a cookie (one flow-mod message).
 
-        Standalone, returns the number of rules removed; fabric-bound,
-        returns a future resolving to the recorded message (the switch
+        Returns a future resolving to the recorded message (the switch
         drops the rules at delivery).  Retransmitted like
         :meth:`install_rule`.
         """
         switch = self._switch(switch_name)
-        if self._fabric is None:
-            removed = switch.remove(cookie)
-            self._record("delete", switch, size, f"cookie={cookie}")
-            return len(removed)
         mtype = MessageType("OpenFlow", f"FlowMod(delete,{switch.name})",
                             size)
 
@@ -146,30 +123,26 @@ class SdnController:
         """Issue several flow-mods concurrently (one transaction).
 
         ``ops`` is a list of ``("add", switch_name, FlowRule)`` /
-        ``("delete", switch_name, cookie)`` tuples.  Fabric-bound, all
-        flow-mods are sent at once -- they contend on their per-switch
-        OpenFlow channels in parallel, which is what makes a cross-site
+        ``("delete", switch_name, cookie)`` tuples.  All flow-mods are
+        sent at once -- they contend on their per-switch OpenFlow
+        channels in parallel, which is what makes a cross-site
         re-steer's programming window as short as the slowest channel
         rather than the sum of all of them -- and the returned futures
         (in ``ops`` order) resolve as each one reaches its switch.
-        Standalone, every op applies immediately and ``[]`` is
-        returned.  Each op is idempotent under PR-4 retries: duplicate
-        deliveries are suppressed by the fabric, installs replace
-        identical rules, and deletes of absent cookies are no-ops.
+        Each op is idempotent under retries: duplicate deliveries are
+        suppressed by the fabric, installs replace identical rules, and
+        deletes of absent cookies are no-ops.
         """
         futures = []
-        for op in ops:
-            kind, switch_name, payload = op
+        for kind, switch_name, payload in ops:
             if kind == "add":
-                outcome = self.install_rule(switch_name, payload,
-                                            telemetry=telemetry)
+                futures.append(self.install_rule(switch_name, payload,
+                                                 telemetry=telemetry))
             elif kind == "delete":
-                outcome = self.remove_rules(switch_name, payload,
-                                            telemetry=telemetry)
+                futures.append(self.remove_rules(switch_name, payload,
+                                                 telemetry=telemetry))
             else:
                 raise ValueError(f"unknown flow-mod batch op {kind!r}")
-            if self._fabric is not None:
-                futures.append(outcome)
         return futures
 
     def _switch(self, name: str) -> FlowSwitch:

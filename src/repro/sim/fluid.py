@@ -459,8 +459,7 @@ class FluidFlow:
     gateway CPUs (:meth:`add_link` / :meth:`add_server`), delivering
     whatever survives to ``dst_ip``.  Byte counters
     (``bytes_offered``/``bytes_delivered``/``bytes_dropped``) are
-    integrated at every re-solve; delivery checkpoints let monitors
-    reconstruct windowed series.
+    integrated at every re-solve.
     """
 
     def __init__(self, domain: FluidDomain, name: str, src_ip: str,
@@ -486,7 +485,6 @@ class FluidFlow:
         self.bytes_dropped = 0.0
         self._delivered_Bps = 0.0
         self._hops: list[tuple[FluidQueue, _FlowEntry, float]] = []
-        self._checkpoints: list[tuple[float, float]] = []
         self._acct_t = self.sim.now
         self._start_event: Optional["Event"] = None
         domain.flows.append(self)
@@ -527,7 +525,6 @@ class FluidFlow:
         if self.active:
             return
         self.active = True
-        self._checkpoints.append((self.sim.now, self.bytes_delivered))
         self.domain.resolve()
 
     def stop(self) -> None:
@@ -559,7 +556,6 @@ class FluidFlow:
             return
         self.bytes_offered += self.rate / 8.0 * dt
         self.bytes_delivered += self._delivered_Bps * dt
-        self._checkpoints.append((now, self.bytes_delivered))
 
     def sync(self) -> "FluidFlow":
         """Bring accounting current (monitors call this): byte counters
@@ -577,11 +573,6 @@ class FluidFlow:
     @property
     def packets_delivered(self) -> int:
         return int(self.bytes_delivered // self.packet_size)
-
-    def delivery_checkpoints(self) -> tuple[tuple[float, float], ...]:
-        """``(time, cumulative delivered bytes)`` at every re-solve;
-        delivery is piecewise linear between checkpoints."""
-        return tuple(self._checkpoints)
 
     def __repr__(self) -> str:    # pragma: no cover - debugging aid
         state = "active" if self.active else "idle"

@@ -251,15 +251,6 @@ class Link:
             self._directions[id(first)].peer = second
             self._directions[id(second)].peer = first
 
-    def other_end(self, node: "Node") -> "Node":
-        if len(self._endpoints) != 2:
-            raise ValueError(f"link {self.name} is not fully wired")
-        if node is self._endpoints[0]:
-            return self._endpoints[1]
-        if node is self._endpoints[1]:
-            return self._endpoints[0]
-        raise ValueError(f"{node!r} is not attached to link {self.name}")
-
     def set_qci_priority(self, qci: int, priority: int) -> None:
         """Register the scheduling priority for a QCI (lower wins)."""
         self._qci_priorities[qci] = priority

@@ -7,84 +7,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.sim.hooks import PacketDelivered, PacketDropped, Subscription
+from repro.sim.hooks import PacketDropped, Subscription
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Event
-    from repro.sim.node import Node
     from repro.sim.packet import Packet
-
-
-class _BusProbe:
-    """Shared subscription plumbing for the measurement probes.
-
-    A probe can be driven two ways: directly (pass it as a sink's
-    ``on_packet`` callback) or by subscribing it to the simulation's
-    hook bus with :meth:`subscribe`, optionally filtered to one node.
-    ``close()`` detaches the subscription either way.
-
-    Probes can also self-sample on a period: :meth:`start_polling` arms
-    a repeating timer (the timer event is re-armed in place each poll,
-    so it re-arms without allocating) and
-    appends one :meth:`snapshot` dict to :attr:`polls` per interval.
-    """
-
-    def __init__(self) -> None:
-        self._subscription: Optional[Subscription] = None
-        self._node_filter: Optional["Node"] = None
-        self.poll_interval: Optional[float] = None
-        self.polls: list[dict] = []
-        self._poll_event: Optional["Event"] = None
-
-    def subscribe(self, node: Optional["Node"] = None):
-        """Observe :class:`PacketDelivered` events on the sim's bus.
-
-        ``node`` restricts the probe to packets delivered at that node.
-        Returns ``self`` so construction and wiring chain naturally.
-        """
-        if self._subscription is not None:
-            raise RuntimeError(f"{type(self).__name__} is already subscribed")
-        self._node_filter = node
-        self._subscription = self.sim.hooks.on(PacketDelivered,
-                                               self._on_delivered)
-        return self
-
-    def _on_delivered(self, event: PacketDelivered) -> None:
-        if self._node_filter is not None and event.node is not self._node_filter:
-            return
-        self(event.packet)
-
-    # -- periodic self-sampling -------------------------------------------
-
-    def start_polling(self, interval: float):
-        """Record a :meth:`snapshot` every ``interval`` simulated seconds.
-
-        Returns ``self`` so it chains with :meth:`subscribe`.
-        """
-        if interval <= 0:
-            raise ValueError("poll interval must be positive")
-        if self._poll_event is not None:
-            raise RuntimeError(f"{type(self).__name__} is already polling")
-        self.poll_interval = interval
-        self._poll_event = self.sim.schedule(interval, self._poll)
-        return self
-
-    def _poll(self) -> None:
-        self.polls.append(self.snapshot())
-        self._poll_event = self._poll_event.reschedule(self.poll_interval)
-
-    def snapshot(self) -> dict:
-        """One poll sample; subclasses override with their counters."""
-        return {"t": self.sim.now}
-
-    def close(self) -> None:
-        """Stop observing.  Idempotent; direct callers are unaffected."""
-        if self._subscription is not None:
-            self._subscription.close()
-            self._subscription = None
-        if self._poll_event is not None:
-            self._poll_event.cancel()
-            self._poll_event = None
 
 
 @dataclass
@@ -114,17 +40,13 @@ class FlowStats:
         return float(np.percentile(self.latencies, q)) if self.latencies else 0.0
 
 
-class LatencyProbe(_BusProbe):
+class LatencyProbe:
     """Collects one-way (or round-trip) delay samples keyed by flow id.
 
     Attach via a sink's ``on_packet`` callback:
 
     >>> probe = LatencyProbe(sim)
     >>> sink = PacketSink(sim, "sink", on_packet=probe)   # doctest: +SKIP
-
-    or observe the whole simulation through the hook bus:
-
-    >>> probe = LatencyProbe(sim).subscribe(node=sink)    # doctest: +SKIP
 
     Packets dropped mid-flight never reach the sink, so latency
     samples alone under-report: call :meth:`watch_drops` to also count
@@ -133,15 +55,12 @@ class LatencyProbe(_BusProbe):
     """
 
     def __init__(self, sim) -> None:
-        super().__init__()
         self.sim = sim
         self.flows: dict[str, FlowStats] = {}
         self.samples = 0
         self.lost = 0
         self.lost_reasons: dict[str, int] = {}
         self._drop_subscription: Optional[Subscription] = None
-        # flow_id -> (packets folded, bytes folded) for fluid flows
-        self._fluid_marks: dict[str, tuple[int, int]] = {}
 
     def __call__(self, packet: "Packet") -> None:
         stats = self.flows.setdefault(packet.flow_id, FlowStats())
@@ -151,7 +70,7 @@ class LatencyProbe(_BusProbe):
     def watch_drops(self):
         """Also count :class:`PacketDropped` events, keyed by flow.
 
-        Returns ``self`` so it chains with :meth:`subscribe`.
+        Returns ``self`` so it chains with the constructor.
         """
         if self._drop_subscription is not None:
             raise RuntimeError(f"{type(self).__name__} already watches drops")
@@ -169,35 +88,8 @@ class LatencyProbe(_BusProbe):
         self.lost_reasons[event.reason] = \
             self.lost_reasons.get(event.reason, 0) + count
 
-    def fold_fluid(self, flow) -> None:
-        """Fold a :class:`~repro.sim.fluid.FluidFlow`'s byte counters
-        into its :class:`FlowStats`.
-
-        Incremental and idempotent: each call adds only the packets and
-        bytes delivered since the previous fold.  Fluid flows carry no
-        per-packet timestamps, so they contribute no latency samples;
-        their drops arrive as aggregate
-        :class:`~repro.sim.hooks.PacketDropped` events and are counted
-        by :meth:`watch_drops` like any other drop.
-        """
-        flow.sync()
-        stats = self.flows.setdefault(flow.flow_id, FlowStats())
-        prev_packets, prev_bytes = self._fluid_marks.get(flow.flow_id,
-                                                         (0, 0))
-        packets = flow.packets_delivered
-        delivered = int(flow.bytes_delivered)
-        stats.packets += packets - prev_packets
-        stats.bytes += delivered - prev_bytes
-        self.samples += packets - prev_packets
-        self._fluid_marks[flow.flow_id] = (packets, delivered)
-
-    def snapshot(self) -> dict:
-        """Per-poll counters (cheap: no per-flow scan)."""
-        return {"t": self.sim.now, "samples": self.samples,
-                "lost": self.lost}
-
     def close(self) -> None:
-        super().close()
+        """Stop counting drops.  Idempotent; direct callers are unaffected."""
         if self._drop_subscription is not None:
             self._drop_subscription.close()
             self._drop_subscription = None
@@ -212,11 +104,11 @@ class LatencyProbe(_BusProbe):
         return self.flows.setdefault(flow_id, FlowStats())
 
 
-class ThroughputMeter(_BusProbe):
+class ThroughputMeter:
     """Windowed throughput series measured at a sink.
 
-    Call :meth:`observe` for every delivered packet (directly or via
-    :meth:`subscribe`); :meth:`series` returns
+    Call :meth:`observe` for every delivered packet (or pass the meter
+    as a sink's ``on_packet`` callback); :meth:`series` returns
     `(window_start_times, bits_per_second)` arrays, the exact shape
     plotted in Figure 8.
 
@@ -227,7 +119,6 @@ class ThroughputMeter(_BusProbe):
     """
 
     def __init__(self, sim, window: float = 1.0) -> None:
-        super().__init__()
         if window <= 0:
             raise ValueError("window must be positive")
         self.sim = sim
@@ -236,8 +127,6 @@ class ThroughputMeter(_BusProbe):
         self.total_packets = 0
         self._buckets: dict[int, float] = {}
         self._last_bucket = -1
-        # flow_id -> (checkpoints consumed, packets folded) per flow
-        self._fluid_marks: dict[str, tuple[int, int]] = {}
 
     def observe(self, packet: "Packet") -> None:
         bucket = int(self.sim.now / self.window)
@@ -259,47 +148,6 @@ class ThroughputMeter(_BusProbe):
         bps = np.array([self._buckets.get(i, 0) * 8 / self.window
                         for i in range(last + 1)], dtype=float)
         return times, bps
-
-    def fold_fluid(self, flow) -> None:
-        """Fold a :class:`~repro.sim.fluid.FluidFlow`'s deliveries into
-        the windowed series.
-
-        A fluid flow's delivery is piecewise linear between its solve
-        checkpoints; each segment's bytes are spread across the windows
-        it overlaps, so :meth:`series` and :meth:`mean_throughput` show
-        the same curve a per-packet sink would have produced (bucket
-        totals become floats).  Incremental and idempotent: each call
-        consumes only checkpoints recorded since the previous fold.
-        """
-        flow.sync()
-        points = flow.delivery_checkpoints()
-        idx, folded_packets = self._fluid_marks.get(flow.flow_id, (1, 0))
-        window = self.window
-        buckets = self._buckets
-        for i in range(max(idx, 1), len(points)):
-            t0, b0 = points[i - 1]
-            t1, b1 = points[i]
-            seg_bytes = b1 - b0
-            if seg_bytes <= 0.0 or t1 <= t0:
-                continue
-            for w in range(int(t0 / window), int(t1 / window) + 1):
-                lo = max(t0, w * window)
-                hi = min(t1, (w + 1) * window)
-                if hi <= lo:
-                    continue
-                buckets[w] = (buckets.get(w, 0)
-                              + seg_bytes * (hi - lo) / (t1 - t0))
-                if w > self._last_bucket:
-                    self._last_bucket = w
-            self.total_bytes += seg_bytes
-        packets = flow.packets_delivered
-        self.total_packets += packets - folded_packets
-        self._fluid_marks[flow.flow_id] = (max(len(points), 1), packets)
-
-    def snapshot(self) -> dict:
-        """Per-poll totals (incremental counters, no series rebuild)."""
-        return {"t": self.sim.now, "bytes": self.total_bytes,
-                "packets": self.total_packets}
 
     def mean_throughput(self, skip_first: int = 1) -> float:
         """Mean bits/sec over the series, skipping warm-up windows.

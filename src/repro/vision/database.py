@@ -8,15 +8,13 @@ against this structure: the whole floor (Naive), the sections of the
 two strongest landmarks (rxPower), or the sub-sections around a
 trilaterated location (ACACIA).
 
-The paper persists the DB in OpenCV YAML; we persist to a JSON + NumPy
-archive pair, a like-for-like substitution.
+The paper persists the DB in OpenCV YAML; this reproduction builds it
+in memory from seeded synthetic models, so it has no file format.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
@@ -131,44 +129,3 @@ class ObjectDatabase:
         if not records:
             return 0.0
         return float(np.mean([r.nominal_features for r in records]))
-
-    # -- persistence --------------------------------------------------------
-
-    def save(self, directory: str | Path) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        meta = []
-        arrays: dict[str, np.ndarray] = {}
-        for record in self._records.values():
-            meta.append({
-                "name": record.name,
-                "tag": record.tag,
-                "section": record.section,
-                "subsection": record.subsection,
-                "position": list(record.position),
-                "seed": record.model.seed,
-                "nominal_features": record.nominal_features,
-            })
-            arrays[f"{record.name}__desc"] = record.model.descriptors
-            arrays[f"{record.name}__kp"] = record.model.keypoints
-        (directory / "db.json").write_text(json.dumps(meta, indent=2))
-        np.savez_compressed(directory / "db.npz", **arrays)
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "ObjectDatabase":
-        directory = Path(directory)
-        meta = json.loads((directory / "db.json").read_text())
-        arrays = np.load(directory / "db.npz")
-        db = cls()
-        for item in meta:
-            model = ObjectModel(
-                name=item["name"],
-                descriptors=arrays[f"{item['name']}__desc"],
-                keypoints=arrays[f"{item['name']}__kp"],
-                seed=item["seed"])
-            db.add(ObjectRecord(
-                model=model, tag=item["tag"], section=item["section"],
-                subsection=item["subsection"],
-                position=tuple(item["position"]),
-                nominal_features=item.get("nominal_features", 500.0)))
-        return db

@@ -10,8 +10,8 @@ import pytest
 
 from repro.apps.mobility import MobilityManager
 from repro.apps.scenario import WalkPath
-from repro.baselines.deployments import build_edge_fabric
-from repro.core.config import ContinuityConfig
+from repro.baselines.deployments import build_topology
+from repro.core.config import ContinuityConfig, NetworkConfig
 from repro.core.events import SessionRelocated, SessionRelocating
 from repro.core.network import MobileNetwork, Pinger, wan_link_name
 from repro.faults import FaultInjector, FaultPlan, McServerOutage
@@ -45,7 +45,8 @@ class TestContinuityConfig:
 
 class TestEdgeFabricTopology:
     def test_fabric_builds_sites_and_wan_mesh(self):
-        fab = build_edge_fabric(n_sites=3, enbs_per_site=2, seed=0)
+        fab = build_topology({"sites": 3, "enbs_per_site": 2},
+                             config=NetworkConfig(seed=0))
         net = fab.network
         assert set(net.edge_sites) == {"edge0", "edge1", "edge2"}
         # full WAN mesh: 3 choose 2 links
@@ -143,9 +144,10 @@ class TestContextTransfer:
 # -- SDN re-steer ----------------------------------------------------------
 
 def fabric_with_session(policy="make-before-break", **continuity_kwargs):
-    fab = build_edge_fabric(
-        n_sites=3, enbs_per_site=2, seed=7,
-        continuity=ContinuityConfig(policy=policy, **continuity_kwargs))
+    fab = build_topology(
+        {"sites": 3, "enbs_per_site": 2},
+        config=NetworkConfig(seed=7, continuity=ContinuityConfig(
+            policy=policy, **continuity_kwargs)))
     ue = fab.network.add_ue("walker", enb_name="enb0")
     session = fab.mrs.request_connectivity(ue, fab.service_id)
     return fab, ue, session
@@ -362,7 +364,8 @@ class TestContinuityEndToEnd:
         """A walker crossing all three sites keeps its CI session:
         every boundary triggers a relocation and the dedicated bearer
         ends up anchored at the final site, still active."""
-        fab = build_edge_fabric(n_sites=3, enbs_per_site=2, seed=11)
+        fab = build_topology({"sites": 3, "enbs_per_site": 2},
+                             config=NetworkConfig(seed=11))
         net = fab.network
         events = []
         net.hooks.on(SessionRelocated, events.append)

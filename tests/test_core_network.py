@@ -163,23 +163,23 @@ def test_background_load_does_not_affect_mec_bearer(network):
 
 
 def test_background_loads_have_distinct_cookies_and_remove_cleanly(network):
-    """Each load installs rules under its own cookie, so tearing one
-    down leaves the others' flow rules (and traffic) untouched."""
+    """Each load installs rules under its own cookie, so removing one
+    load's rules leaves the others' flow rules untouched."""
     first = network.add_background_load(rate=10e6)
     second = network.add_background_load(rate=20e6)
     assert first.name != second.name
-    assert set(network.background_loads()) == {first.name, second.name}
     site = network.sgwc.site("central")
+
+    def cookie_of(source):
+        (rule,) = [rule for rule in site.sgw_u.table
+                   if rule.match.src_ip == source.ip]
+        return rule.cookie
+
+    assert cookie_of(first) != cookie_of(second)
     rules_with_both = len(site.sgw_u.table)
-
-    network.remove_background_load(first)
-    assert network.background_loads() == (second.name,)
+    site.sgw_u.remove(cookie_of(first))
     assert len(site.sgw_u.table) == rules_with_both - 1
-
-    network.remove_background_load(second.name)     # by name also works
-    assert network.background_loads() == ()
-    with pytest.raises(KeyError):
-        network.remove_background_load(second)
+    assert len(site.sgw_u.rules_for_cookie(cookie_of(second))) == 1
 
 
 def test_multiple_ues_isolated_ips(network):
@@ -244,8 +244,10 @@ def test_pinger_books_injected_signalling_style_loss(network):
 
 
 def test_wan_links_table_matches_named_links():
-    from repro.baselines.deployments import build_edge_fabric
-    network = build_edge_fabric(n_sites=3, enbs_per_site=1, seed=0).network
+    from repro.baselines.deployments import build_topology
+    from repro.core.config import NetworkConfig
+    network = build_topology({"sites": 3, "enbs_per_site": 1},
+                             config=NetworkConfig(seed=0)).network
     sites = sorted(network.edge_sites)
     assert len(network.wan_links) == len(sites) * (len(sites) - 1)
     for a in sites:

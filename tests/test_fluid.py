@@ -23,7 +23,7 @@ from repro.sim.fluid import (_STATIONARY_MAX, FluidDomain, FluidFlow,
                              FluidLink, FluidQueue)
 from repro.sim.hooks import PacketDropped
 from repro.sim.link import Link
-from repro.sim.monitor import LatencyProbe, ThroughputMeter
+from repro.sim.monitor import LatencyProbe
 from repro.sim.node import Node, PacketSink
 from repro.sim.packet import Packet
 from repro.sim.traffic import GreedySource, PoissonSource
@@ -476,10 +476,10 @@ def test_fluid_queue_validation():
 
 
 # ---------------------------------------------------------------------------
-# monitors: folding fluid counters into probe statistics
+# delivery accounting: byte and packet counters after sync()
 # ---------------------------------------------------------------------------
 
-def test_throughput_meter_folds_fluid_series():
+def test_fluid_flow_delivered_bytes_track_rate():
     sim = Simulator()
     a = Node(sim, "a", ip="10.0.0.1")
     b = Node(sim, "b", ip="10.0.0.2")
@@ -493,24 +493,18 @@ def test_throughput_meter_folds_fluid_series():
     flow.start()
     sim.run(until=4.0)
 
-    meter = ThroughputMeter(sim, window=1.0)
-    meter.fold_fluid(flow)
-    assert meter.total_bytes == pytest.approx(4e6 / 8 * 4.0, rel=0.01)
-    times, bps = meter.series()
-    assert len(bps) == 4
-    assert bps[1] == pytest.approx(4e6, rel=0.01)
-    assert meter.mean_throughput(skip_first=1) == pytest.approx(
-        4e6, rel=0.01)
-    # folding twice must not double-count
-    meter.fold_fluid(flow)
-    assert meter.total_bytes == pytest.approx(4e6 / 8 * 4.0, rel=0.01)
-    # a later fold adds only the delta
+    flow.sync()
+    assert flow.bytes_delivered == pytest.approx(4e6 / 8 * 4.0, rel=0.01)
+    assert flow.delivered_rate == pytest.approx(4e6, rel=0.01)
+    # syncing twice must not double-count
+    flow.sync()
+    assert flow.bytes_delivered == pytest.approx(4e6 / 8 * 4.0, rel=0.01)
     sim.run(until=6.0)
-    meter.fold_fluid(flow)
-    assert meter.total_bytes == pytest.approx(4e6 / 8 * 6.0, rel=0.01)
+    flow.sync()
+    assert flow.bytes_delivered == pytest.approx(4e6 / 8 * 6.0, rel=0.01)
 
 
-def test_latency_probe_folds_fluid_counters():
+def test_fluid_flow_counts_whole_packets_delivered():
     sim = Simulator()
     domain = FluidDomain(sim)
     queue = FluidQueue(sim, capacity=1e9)
@@ -521,14 +515,12 @@ def test_latency_probe_folds_fluid_counters():
     flow.start()
     sim.run(until=3.0)
 
-    probe = LatencyProbe(sim)
-    probe.fold_fluid(flow)
-    stats = probe.flows[flow.flow_id]
+    flow.sync()
     # 1 MB/s for 3 s of 1400 B packets
-    assert stats.packets == int(3e6 // 1400)
-    assert stats.bytes == pytest.approx(3e6, rel=0.01)
-    probe.fold_fluid(flow)      # idempotent
-    assert stats.packets == int(3e6 // 1400)
+    assert flow.packets_delivered == int(3e6 // 1400)
+    assert flow.bytes_delivered == pytest.approx(3e6, rel=0.01)
+    flow.sync()      # idempotent
+    assert flow.packets_delivered == int(3e6 // 1400)
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +587,9 @@ def test_fluid_background_add_remove():
     network = MobileNetwork(NetworkConfig(
         seed=11, sim=SimConfig(data_plane="fluid-bg")))
     flow = network.add_background_load(rate=20e6).start()
-    assert network.background_loads() == ("bg1",)
+    assert flow.name == "bg1"
     network.sim.run(until=1.0)
-    network.remove_background_load(flow)
-    assert network.background_loads() == ()
+    flow.stop()
     assert not flow.active
     network.sim.run(until=2.0)
     flow.sync()

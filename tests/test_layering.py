@@ -251,9 +251,9 @@ def test_no_scheduler_internals_outside_sim():
 
 #: The one sanctioned entry point that turns a raw scenario-document
 #: dict into a built deployment.  Only the scenario layer (which
-#: validates documents first) and the baselines package itself (whose
-#: legacy builders delegate to it) may call it; every other layer goes
-#: through those two, so an unvalidated dict can never build a world.
+#: validates documents first) and the baselines package that defines it
+#: may call it; every other layer goes through the scenario layer, so
+#: an unvalidated dict can never build a world.
 RAW_DICT_BUILDERS = {"build_topology"}
 
 RAW_DICT_BUILDER_LAYERS = ("scenario/", "baselines/")

@@ -125,15 +125,6 @@ class TestLandmarkMap:
         with pytest.raises(KeyError):
             self.make_map().get("nope")
 
-    def test_json_roundtrip(self, tmp_path):
-        lmap = self.make_map()
-        path = tmp_path / "map.json"
-        lmap.save(path)
-        loaded = LandmarkMap.load(path)
-        assert loaded.names == lmap.names
-        assert loaded.regression.alpha == lmap.regression.alpha
-        assert loaded.get("lm2").x == 20.0
-
 
 class TestLocationTracker:
     def make_tracker(self, **kw):

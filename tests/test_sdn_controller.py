@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.config import SignallingConfig
 from repro.epc.overhead import ControlLedger
+from repro.epc.signalling import RetryPolicy, SignallingFabric
 from repro.sdn.controller import SdnController
 from repro.sdn.openflow import FlowMatch, FlowRule, Output
 from repro.sdn.switch import FlowSwitch
@@ -15,7 +17,9 @@ def build():
     controller = SdnController(ledger=ledger)
     switch = FlowSwitch(sim, "sgw-u.central", ip="172.16.0.1")
     controller.register(switch)
-    return controller, switch, ledger
+    fabric = SignallingFabric(sim, ledger, SignallingConfig().transports())
+    controller.bind_fabric(fabric, RetryPolicy())
+    return sim, controller, switch, ledger
 
 
 def rule(cookie=""):
@@ -24,38 +28,43 @@ def rule(cookie=""):
 
 
 def test_install_adds_rule_and_records_message():
-    controller, switch, ledger = build()
-    controller.install_rule("sgw-u.central", rule())
+    sim, controller, switch, ledger = build()
+    future = controller.install_rule("sgw-u.central", rule())
+    assert switch.table == []             # applied at delivery, not before
+    sim.run()
+    assert future.done
     assert len(switch.table) == 1
     assert ledger.total_messages == 1
+    assert ledger.messages[0] is future.value
     assert ledger.messages[0].protocol == "OpenFlow"
     assert ledger.messages[0].size == 368
 
 
 def test_remove_records_delete_message():
-    controller, switch, ledger = build()
+    sim, controller, switch, ledger = build()
     controller.install_rule("sgw-u.central", rule(cookie="c"))
-    count = controller.remove_rules("sgw-u.central", "c")
-    assert count == 1
+    sim.run()
+    assert len(switch.table) == 1
+    controller.remove_rules("sgw-u.central", "c")
+    sim.run()
     assert switch.table == []
     assert ledger.messages[-1].size == 344
     assert "delete" in ledger.messages[-1].name
 
 
 def test_unknown_switch_raises():
-    controller, _, _ = build()
+    _, controller, _, _ = build()
     with pytest.raises(KeyError):
         controller.install_rule("nope", rule())
 
 
 def test_flow_mod_counter():
-    controller, _, _ = build()
-    controller.install_rule("sgw-u.central", rule(cookie="a"))
-    controller.install_rule("sgw-u.central", rule(cookie="b"))
+    sim, controller, _, _ = build()
+    futures = controller.apply_batch([
+        ("add", "sgw-u.central", rule(cookie="a")),
+        ("add", "sgw-u.central", rule(cookie="b")),
+    ])
     controller.remove_rules("sgw-u.central", "a")
+    sim.run()
+    assert all(future.done for future in futures)
     assert controller.flow_mods_sent == 3
-
-
-def test_default_ledger_created_when_absent():
-    controller = SdnController()
-    assert controller.ledger is not None

@@ -1,6 +1,5 @@
 """Tests for the calibrated device cost model, codec and database."""
 
-import numpy as np
 import pytest
 
 from repro.vision.camera import (R320x240, R720x480, R960x720, R1280x720,
@@ -157,15 +156,3 @@ class TestObjectDatabase:
     def test_mean_features(self):
         db = self.make_db()
         assert db.mean_features() == 30.0
-
-    def test_persistence_roundtrip(self, tmp_path):
-        db = self.make_db()
-        db.save(tmp_path / "store")
-        loaded = ObjectDatabase.load(tmp_path / "store")
-        assert len(loaded) == 12
-        original = db.get("obj-7")
-        restored = loaded.get("obj-7")
-        assert restored.section == original.section
-        assert restored.subsection == original.subsection
-        assert np.array_equal(restored.model.descriptors,
-                              original.model.descriptors)
