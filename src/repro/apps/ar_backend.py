@@ -127,7 +127,6 @@ class ARServerNode(Node):
         super().__init__(sim, name, ip)
         self.backend = backend
         self.scheme = scheme
-        self.responses: list[ARResponse] = []
         self.active_clients = 0
 
     def on_receive(self, packet: Packet, link: "Link") -> None:
@@ -139,7 +138,6 @@ class ARServerNode(Node):
             user_id=packet.meta.get("user_id", packet.src),
             frame=frame, now=self.sim.now, scheme=self.scheme,
             clients=max(1, self.active_clients))
-        self.responses.append(response)
         self.sim.post(response.server_time, self._reply, packet, response,
                       link)
 

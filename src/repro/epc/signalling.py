@@ -453,9 +453,13 @@ class _ReliableTransfer:
         self.done = True
         if self._timer is not None:
             self._timer.cancel()
+            # the timer's callback is our bound method: drop the spent
+            # timer so no transfer <-> event cycle outlives delivery
+            self._timer = None
         self.future.resolve(attempt.value)
 
     def _expired(self) -> None:
+        self._timer = None      # spent: break the transfer <-> event cycle
         if self.done:
             return
         if self.telemetry is not None:

@@ -420,17 +420,20 @@ def run_end_to_end(trial: TrialSpec) -> dict[str, Any]:
         kind, db, scenario, seed=trial.seed,
         data_plane=p.get("data_plane", "packet"))
     checkpoint = scenario.checkpoints[checkpoint_index]
-    workload_ = CheckpointWorkload(scenario, db, seed=trial.seed,
-                                   frames_per_object=frames,
-                                   resolution=R720x480)
-    sample = workload_.sample(checkpoint)
+    workload_ = CheckpointWorkload(scenario, db, seed=trial.seed)
+    # each frame is drawn when the session captures it, so the whole
+    # session's descriptors are never alive at once; the extractor's
+    # draws and their order are those of ``CheckpointWorkload.sample``
+    record = workload_.nearest_object(checkpoint)
+    frame_source = (workload_.extractor.frame_of(record.model, R720x480)
+                    for _ in range(frames))
 
     if kind == "acacia":
         section = scenario.section_of_subsection(checkpoint.subsection)
         deployment.customer.move_to(checkpoint.position)
         deployment.customer.open([section])
         deployment.network.sim.run(until=32.0)
-    session = deployment.new_session(iter(sample.frames),
+    session = deployment.new_session(frame_source,
                                      resolution=R720x480,
                                      max_frames=frames)
     session.start(at=deployment.network.sim.now)
@@ -440,7 +443,7 @@ def run_end_to_end(trial: TrialSpec) -> dict[str, Any]:
     return {
         "kind": kind,
         "frames_completed": len(session.records),
-        "all_matched": all(r.matched == sample.record.name
+        "all_matched": all(r.matched == record.name
                            for r in session.records),
         "breakdown_ms": {part: value * 1e3
                          for part, value in breakdown.items()},

@@ -79,10 +79,12 @@ class Node:
 
 
 class PacketSink(Node):
-    """Terminal node that records arrivals and can auto-reply.
+    """Terminal node that counts arrivals and can auto-reply.
 
     Useful both as a traffic sink (throughput measurements) and as a
-    ping/echo responder (RTT measurements) when ``echo=True``.
+    ping/echo responder (RTT measurements) when ``echo=True``.  It keeps
+    counters only (``rx_count``, ``bytes_received``), not the packets:
+    a caller that wants each packet passes ``on_packet``.
     """
 
     def __init__(self, sim: "Simulator", name: str, ip: Optional[str] = None,
@@ -91,18 +93,14 @@ class PacketSink(Node):
         super().__init__(sim, name, ip)
         self.echo = echo
         self.on_packet = on_packet
-        self.received: list[Packet] = []
         self.bytes_received = 0
-        self.arrival_times: list[float] = []
         # delivered-hook verdict cached against the bus subscription
         # generation -- this runs once per delivered packet
         self._delivered_hook_gen = -1
         self._delivered_hook_hot = False
 
     def on_receive(self, packet: Packet, link: "Link") -> None:
-        self.received.append(packet)
         self.bytes_received += packet.wire_size
-        self.arrival_times.append(self.sim.now)
         hooks = self.sim.hooks
         if hooks.generation != self._delivered_hook_gen:
             self._delivered_hook_gen = hooks.generation

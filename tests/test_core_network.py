@@ -16,6 +16,9 @@ def network():
     net.pcrf.configure(ServicePolicy("ar-retail", qci=MEC_BEARER_QCI))
     net.add_mec_site("mec")
     net.add_server("ar-server", site_name="mec", echo=True)
+    for server in net.servers.values():
+        server.received = []
+        server.on_packet = server.received.append
     return net
 
 

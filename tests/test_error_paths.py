@@ -9,8 +9,8 @@ from repro.epc.identifiers import FTeid
 from repro.epc.ue import UEDevice
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
-from repro.sim.node import PacketSink
 from repro.sim.packet import Packet
+from tests.recording import RecordingSink
 
 
 class TestUEDeviceErrors:
@@ -42,7 +42,7 @@ class TestENodeBErrors:
     def build(self):
         sim = Simulator()
         enb = ENodeB(sim, "enb", ip="192.168.1.1")
-        sink = PacketSink(sim, "sgw", ip="172.16.0.1")
+        sink = RecordingSink(sim, "sgw", ip="172.16.0.1")
         link = Link(sim, "s1", bandwidth=1e9, delay=0.0)
         enb.attach("s1", link)
         sink.attach("in", link)

@@ -18,13 +18,14 @@ from repro.sim.link import Link
 from repro.sim.node import PacketSink
 from repro.sim.packet import Packet
 from repro.sim.tcp import TcpSink, TcpSource
+from tests.recording import RecordingSink
 
 
 class TestLinkFailure:
     def test_down_link_drops_and_counts(self):
         sim = Simulator()
         a = PacketSink(sim, "a", ip="1")
-        b = PacketSink(sim, "b", ip="2")
+        b = RecordingSink(sim, "b", ip="2")
         link = Link(sim, "l", bandwidth=1e6, delay=0.001)
         a.attach("p", link)
         b.attach("p", link)
@@ -37,7 +38,7 @@ class TestLinkFailure:
     def test_in_flight_packets_still_arrive(self):
         sim = Simulator()
         a = PacketSink(sim, "a", ip="1")
-        b = PacketSink(sim, "b", ip="2")
+        b = RecordingSink(sim, "b", ip="2")
         link = Link(sim, "l", bandwidth=1e6, delay=0.010)
         a.attach("p", link)
         b.attach("p", link)
@@ -49,7 +50,7 @@ class TestLinkFailure:
     def test_recovery_restores_traffic(self):
         sim = Simulator()
         a = PacketSink(sim, "a", ip="1")
-        b = PacketSink(sim, "b", ip="2")
+        b = RecordingSink(sim, "b", ip="2")
         link = Link(sim, "l", bandwidth=1e6, delay=0.001)
         a.attach("p", link)
         b.attach("p", link)

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from repro.epc.bearer import Bearer, BearerRegistry, PacketFilter
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
-from repro.sim.node import Node, PacketSink
+from repro.sim.node import Node
 from repro.sim.packet import Packet
 from repro.vision.camera import Resolution
 from repro.vision.codec import JPEG50, JPEG80, JPEG90, JPEG100, PNG
 from repro.vision.costmodel import DEVICES
 from repro.vision.features import expected_feature_count
+from tests.recording import RecordingSink
 
 
 # -- link conservation -------------------------------------------------------
@@ -27,7 +28,7 @@ def test_link_conserves_packets(sizes, queue_kb):
     drop; nothing vanishes."""
     sim = Simulator()
     src = Node(sim, "src", ip="a")
-    sink = PacketSink(sim, "dst", ip="b")
+    sink = RecordingSink(sim, "dst", ip="b")
     link = Link(sim, "l", bandwidth=1e6, delay=0.001,
                 queue_bytes=queue_kb * 1000)
     src.attach("out", link)
@@ -46,7 +47,7 @@ def test_link_conserves_packets(sizes, queue_kb):
 def test_fifo_link_preserves_order(sizes):
     sim = Simulator()
     src = Node(sim, "src", ip="a")
-    sink = PacketSink(sim, "dst", ip="b")
+    sink = RecordingSink(sim, "dst", ip="b")
     link = Link(sim, "l", bandwidth=1e6, delay=0.002,
                 queue_bytes=10**7)
     src.attach("out", link)

@@ -14,13 +14,14 @@ from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.node import PacketSink
 from repro.sim.packet import Packet
+from tests.recording import RecordingSink
 
 
 def build(profile=IDEAL_PROFILE):
     sim = Simulator()
     src = PacketSink(sim, "src", ip="10.0.0.1")
     switch = FlowSwitch(sim, "sw", profile=profile, ip="172.16.0.1")
-    dst = PacketSink(sim, "dst", ip="10.0.0.2")
+    dst = RecordingSink(sim, "dst", ip="10.0.0.2")
     l_in = Link(sim, "in", bandwidth=1e9, delay=0.0)
     l_out = Link(sim, "out", bandwidth=1e9, delay=0.0)
     src.attach("p", l_in)

@@ -7,11 +7,12 @@ from repro.sim.engine import Simulator
 from repro.sim.link import JITTER_BLOCK, Link
 from repro.sim.node import Node, PacketSink
 from repro.sim.packet import Packet
+from tests.recording import RecordingSink
 
 
 def wire(sim, bandwidth=1e6, delay=0.01, **kw):
     src = Node(sim, "src", ip="10.0.0.1")
-    sink = PacketSink(sim, "dst", ip="10.0.0.2")
+    sink = RecordingSink(sim, "dst", ip="10.0.0.2")
     link = Link(sim, "l0", bandwidth=bandwidth, delay=delay, **kw)
     src.attach("out", link)
     sink.attach("in", link)
@@ -55,8 +56,8 @@ def test_queue_overflow_drops_tail():
 
 def test_duplex_directions_are_independent():
     sim = Simulator()
-    a = PacketSink(sim, "a", ip="10.0.0.1")
-    b = PacketSink(sim, "b", ip="10.0.0.2")
+    a = RecordingSink(sim, "a", ip="10.0.0.1")
+    b = RecordingSink(sim, "b", ip="10.0.0.2")
     link = Link(sim, "l", bandwidth=1e6, delay=0.001)
     a.attach("p", link)
     b.attach("p", link)
@@ -129,7 +130,7 @@ def test_packets_without_qci_are_best_effort():
 
 def test_echo_sink_returns_packet():
     sim = Simulator()
-    src = PacketSink(sim, "src", ip="10.0.0.1")
+    src = RecordingSink(sim, "src", ip="10.0.0.1")
     echo = PacketSink(sim, "echo", ip="10.0.0.2", echo=True)
     link = Link(sim, "l", bandwidth=1e6, delay=0.005)
     src.attach("p", link)
@@ -158,8 +159,8 @@ def test_asymmetric_bandwidth_per_direction():
     """First-attached endpoint's outbound direction gets `bandwidth`,
     the reverse gets `bandwidth_reverse` (the LTE UL/DL split)."""
     sim = Simulator()
-    ue = PacketSink(sim, "ue", ip="10.0.0.1")
-    enb = PacketSink(sim, "enb", ip="10.0.0.2")
+    ue = RecordingSink(sim, "ue", ip="10.0.0.1")
+    enb = RecordingSink(sim, "enb", ip="10.0.0.2")
     link = Link(sim, "radio", bandwidth=1e6, bandwidth_reverse=4e6,
                 delay=0.0)
     ue.attach("p", link)
@@ -222,7 +223,7 @@ def test_links_on_one_generator_share_its_draws():
     src = Node(sim, "src")
     sinks, links = [], []
     for k, jitter in enumerate((0.002, 0.005)):
-        sink = PacketSink(sim, f"dst{k}")
+        sink = RecordingSink(sim, f"dst{k}")
         link = Link(sim, f"l{k}", bandwidth=1e6, delay=0.0, jitter=jitter,
                     rng=rng)
         src.attach(f"out{k}", link)

@@ -8,12 +8,13 @@ from repro.sim.link import Link
 from repro.sim.monitor import LatencyProbe, ThroughputMeter
 from repro.sim.node import PacketSink
 from repro.sim.traffic import CBRSource, GreedySource, PoissonSource
+from tests.recording import RecordingSink
 
 
 def test_cbr_rate_is_accurate():
     sim = Simulator()
     src = CBRSource(sim, "cbr", dst="10.0.0.2", rate=8e6, packet_size=1000)
-    sink = PacketSink(sim, "sink", ip="10.0.0.2")
+    sink = RecordingSink(sim, "sink", ip="10.0.0.2")
     link = Link(sim, "l", bandwidth=100e6, delay=0.0)
     src.attach("out", link)
     sink.attach("in", link)
@@ -27,7 +28,7 @@ def test_cbr_rate_is_accurate():
 def test_cbr_stop_halts_traffic():
     sim = Simulator()
     src = CBRSource(sim, "cbr", dst="d", rate=8e6, packet_size=1000)
-    sink = PacketSink(sim, "sink", ip="d")
+    sink = RecordingSink(sim, "sink", ip="d")
     link = Link(sim, "l", bandwidth=100e6, delay=0.0)
     src.attach("out", link)
     sink.attach("in", link)
