@@ -14,7 +14,8 @@ import pytest
 from repro.core.network import MobileNetwork
 from repro.epc.entities import ServicePolicy
 from repro.epc.overhead import (APP_DRIVEN_EVENTS_PER_DAY,
-                                PROMOTION_EVENTS_PER_DAY, daily_overhead_mb)
+                                PROMOTION_EVENTS_PER_DAY,
+                                combined_by_protocol, daily_overhead_mb)
 
 
 def build():
@@ -29,25 +30,22 @@ def build():
 def release_reestablish_cycle(network, ue):
     release = network.control_plane.release_to_idle(ue)
     reestablish = network.control_plane.service_request(ue)
-    return release.messages + reestablish.messages
+    return release, reestablish
 
 
 def test_overhead_control_messages(report, benchmark):
     network, ue = build()
-    messages = release_reestablish_cycle(network, ue)
+    cycle_results = release_reestablish_cycle(network, ue)
 
-    by_protocol: dict[str, list[int]] = {}
-    for message in messages:
-        entry = by_protocol.setdefault(message.protocol, [0, 0])
-        entry[0] += 1
-        entry[1] += message.size
-    total_bytes = sum(m.size for m in messages)
+    by_protocol = combined_by_protocol(*cycle_results)
+    total_messages = sum(r.message_count for r in cycle_results)
+    total_bytes = sum(r.byte_count for r in cycle_results)
 
     r = report("overhead_control_messages",
                "Sec 4: release + re-establish control overhead")
     r.table(["protocol", "messages", "bytes"],
             [[proto, c, b] for proto, (c, b) in sorted(by_protocol.items())]
-            + [["TOTAL", len(messages), total_bytes]])
+            + [["TOTAL", total_messages, total_bytes]])
     r.line()
     r.line(f"app-driven ({APP_DRIVEN_EVENTS_PER_DAY}/day): "
            f"{daily_overhead_mb(total_bytes, APP_DRIVEN_EVENTS_PER_DAY):.2f}"
@@ -56,7 +54,7 @@ def test_overhead_control_messages(report, benchmark):
            f"{daily_overhead_mb(total_bytes, PROMOTION_EVENTS_PER_DAY):.1f}"
            f" MB/device/day")
 
-    assert len(messages) == 15
+    assert total_messages == 15
     assert total_bytes == 2914
     assert by_protocol["SCTP"] == [7, 1138]
     assert by_protocol["GTPv2"] == [4, 352]
@@ -84,7 +82,8 @@ def test_ablation_bearer_policies(report, benchmark):
     acacia_session_bytes = setup.byte_count + teardown.byte_count
 
     # the default bearer's own release/re-establish cycle
-    cycle_bytes = sum(m.size for m in release_reestablish_cycle(network, ue))
+    cycle_bytes = sum(r.byte_count
+                      for r in release_reestablish_cycle(network, ue))
 
     # an always-on dedicated bearer doubles the per-event release +
     # re-establish machinery (two bearers to tear down and rebuild)

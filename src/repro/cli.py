@@ -152,22 +152,18 @@ def cmd_overhead(_: argparse.Namespace) -> int:
     from repro.core import MobileNetwork
     from repro.epc.overhead import (APP_DRIVEN_EVENTS_PER_DAY,
                                     PROMOTION_EVENTS_PER_DAY,
-                                    daily_overhead_mb)
+                                    combined_by_protocol, daily_overhead_mb)
     network = MobileNetwork()
     ue = network.add_ue()
     release = network.control_plane.release_to_idle(ue)
     reestablish = network.control_plane.service_request(ue)
-    messages = release.messages + reestablish.messages
-    by_protocol: dict[str, list[int]] = {}
-    for message in messages:
-        entry = by_protocol.setdefault(message.protocol, [0, 0])
-        entry[0] += 1
-        entry[1] += message.size
-    total = sum(msg.size for msg in messages)
+    by_protocol = combined_by_protocol(release, reestablish)
+    total_messages = release.message_count + reestablish.message_count
+    total = release.byte_count + reestablish.byte_count
     print("release + re-establish control overhead (Section 4):")
     for protocol, (count, size) in sorted(by_protocol.items()):
         print(f"  {protocol:<10} {count:>3} messages  {size:>5} bytes")
-    print(f"  {'TOTAL':<10} {len(messages):>3} messages  {total:>5} bytes")
+    print(f"  {'TOTAL':<10} {total_messages:>3} messages  {total:>5} bytes")
     print(f"\napp-driven daily overhead "
           f"({APP_DRIVEN_EVENTS_PER_DAY}/day): "
           f"{daily_overhead_mb(total, APP_DRIVEN_EVENTS_PER_DAY):.2f} MB")

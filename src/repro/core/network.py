@@ -3,8 +3,8 @@
 :class:`MobileNetwork` wires the pieces the paper's testbeds provide:
 one eNodeB, a central gateway site (the conventional EPC data path to
 the internet), optional MEC sites with local split GW-Us next to CI
-servers, the control-plane entities, the SDN controller and the shared
-control ledger.  Experiments then attach UEs, servers and background
+servers, the control-plane entities, the SDN controller and the
+signalling fabric.  Experiments then attach UEs, servers and background
 load, and use :class:`Pinger` for RTT measurements.
 """
 
@@ -21,7 +21,6 @@ from repro.epc.enodeb import ENodeB
 from repro.epc.events import DownlinkDelivered, UeIpAssigned
 from repro.sim.hooks import PacketDropped
 from repro.epc.identifiers import ImsiAllocator
-from repro.epc.overhead import ControlLedger
 from repro.epc.paging import PagingManager
 from repro.epc.procedures import EPCControlPlane, ProcedureResult
 from repro.epc.qos import apply_qci_priorities
@@ -90,8 +89,7 @@ class MobileNetwork:
         self.fluid: Optional[FluidDomain] = (
             FluidDomain(self.ctx.sim)
             if self.config.sim.data_plane == "fluid-bg" else None)
-        self.ledger = ControlLedger()
-        self.controller = SdnController(ledger=self.ledger)
+        self.controller = SdnController()
         self.mme = MME()
         self.hss = HSS()
         self.pcrf = PCRF()
@@ -100,8 +98,7 @@ class MobileNetwork:
         # the signalling fabric carries every control message as a
         # simulated packet; its transports come from config.signalling
         self.fabric = SignallingFabric(
-            self.sim, self.ledger,
-            specs=self.config.signalling.transports())
+            self.sim, specs=self.config.signalling.transports())
         self.control_plane = EPCControlPlane(
             self.sim, self.mme, self.hss, self.pcrf, self.sgwc, self.pgwc,
             self.controller, fabric=self.fabric,

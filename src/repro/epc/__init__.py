@@ -13,12 +13,12 @@ downlink paging for idle UEs.
 
 from repro.epc.bearer import Bearer, PacketFilter, TrafficFlowTemplate
 from repro.epc.events import (BearerActivated, BearerDeactivated,
-                              DownlinkDelivered, HandoverCompleted,
-                              ServiceRequestCompleted, UeAttached,
-                              UeIpAssigned, UeReleasedToIdle)
+                              ControlMessageDelivered, DownlinkDelivered,
+                              HandoverCompleted, ServiceRequestCompleted,
+                              UeAttached, UeIpAssigned, UeReleasedToIdle)
 from repro.epc.identifiers import (FTeid, ImsiAllocator, IpPool,
                                    TeidAllocator)
-from repro.epc.overhead import ControlLedger, daily_overhead_bytes
+from repro.epc.overhead import daily_overhead_bytes
 from repro.epc.paging import PagingManager
 from repro.epc.qos import QCI_TABLE, QosClass
 
@@ -26,7 +26,7 @@ __all__ = [
     "Bearer",
     "BearerActivated",
     "BearerDeactivated",
-    "ControlLedger",
+    "ControlMessageDelivered",
     "DownlinkDelivered",
     "FTeid",
     "HandoverCompleted",

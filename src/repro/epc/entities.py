@@ -26,17 +26,15 @@ class ControlEndpoint:
 
     The control plane registers each entity's :meth:`handle_message`
     with the fabric, so every control message addressed to it is
-    counted (and kept, most recent last) as it is *delivered* -- the
-    per-entity view of signalling load under concurrent procedures.
+    counted as it is *delivered* -- the per-entity view of signalling
+    load under concurrent procedures.
     """
 
     def _init_endpoint(self) -> None:
         self.messages_received = 0
-        self.last_message: Optional["ControlMessage"] = None
 
     def handle_message(self, message: "ControlMessage") -> None:
         self.messages_received += 1
-        self.last_message = message
 
 
 # --------------------------------------------------------------------------

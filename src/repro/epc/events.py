@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 if TYPE_CHECKING:  # pragma: no cover
     from repro.epc.bearer import Bearer
     from repro.epc.enodeb import ENodeB
+    from repro.epc.messages import ControlMessage
     from repro.epc.ue import UEDevice
     from repro.sim.packet import Packet
 
@@ -37,11 +38,26 @@ class ProcedureStarted:
 @dataclass(frozen=True)
 class ProcedureCompleted:
     """A signalling procedure finished; ``result`` carries its
-    messages and measured elapsed simulated time."""
+    per-protocol message and byte counters and its measured elapsed
+    simulated time."""
 
     name: str
     subject: Any
     result: Any
+
+
+@dataclass(frozen=True)
+class ControlMessageDelivered:
+    """A control message reached its receiver over the signalling fabric.
+
+    Emitted once per logical message (a suppressed duplicate is not
+    delivered again), after ``message.timestamp`` is set to the arrival
+    time and before the receiver's handler runs.  The fabric keeps no
+    archive of delivered messages: a listener that wants the sequence
+    records it.
+    """
+
+    message: "ControlMessage"
 
 
 @dataclass(frozen=True)

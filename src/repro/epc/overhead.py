@@ -4,17 +4,19 @@ The paper argues (Section 4) that always recreating a dedicated MEC
 bearer alongside the default bearer is expensive: 15 control messages
 (2914 bytes) per release+re-establish, i.e. ~2.58 MB/day/device at the
 observed 929 bearer events/day, and up to ~20 MB/day in the worst case of
-one event per LTE radio promotion (7200/day).  The :class:`ControlLedger`
-records every control message a procedure emits so those numbers can be
-re-derived rather than asserted.
+one event per LTE radio promotion (7200/day).  Every procedure counts the
+control messages it exchanges per protocol
+(:attr:`~repro.epc.procedures.ProcedureResult.by_protocol`), so those
+numbers are re-derived rather than asserted; :func:`combined_by_protocol`
+sums the counters of a sequence of procedures.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.epc.messages import ControlMessage
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.epc.procedures import ProcedureResult
 
 #: Bearer re-creations per device per day driven by popular-app traffic
 #: patterns (Aucinas et al., CoNEXT'13, as cited by the paper).
@@ -27,48 +29,17 @@ PROMOTION_EVENTS_PER_DAY = 7200
 LTE_IDLE_TIMEOUT = 11.576
 
 
-@dataclass
-class ProtocolSummary:
-    messages: int = 0
-    bytes: int = 0
-
-
-class ControlLedger:
-    """Accumulates control messages; answers count/byte queries."""
-
-    def __init__(self) -> None:
-        self.messages: list[ControlMessage] = []
-
-    def record(self, message: ControlMessage) -> None:
-        self.messages.append(message)
-
-    def clear(self) -> None:
-        self.messages.clear()
-
-    @property
-    def total_messages(self) -> int:
-        return len(self.messages)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(m.size for m in self.messages)
-
-    def by_protocol(self) -> dict[str, ProtocolSummary]:
-        out: dict[str, ProtocolSummary] = defaultdict(ProtocolSummary)
-        for message in self.messages:
-            summary = out[message.protocol]
-            summary.messages += 1
-            summary.bytes += message.size
-        return dict(out)
-
-    def slice_since(self, index: int) -> "ControlLedger":
-        """A ledger view of messages recorded after position ``index``."""
-        view = ControlLedger()
-        view.messages = self.messages[index:]
-        return view
-
-    def __len__(self) -> int:
-        return len(self.messages)
+def combined_by_protocol(*results: "ProcedureResult"
+                         ) -> dict[str, list[int]]:
+    """Per-protocol ``[messages, bytes]`` totals summed over procedure
+    results."""
+    out: dict[str, list[int]] = {}
+    for result in results:
+        for protocol, (count, size) in result.by_protocol.items():
+            entry = out.setdefault(protocol, [0, 0])
+            entry[0] += count
+            entry[1] += size
+    return out
 
 
 def daily_overhead_bytes(bytes_per_event: int, events_per_day: int) -> int:

@@ -62,10 +62,12 @@ PRIORITY_DEDICATED = 200
 class ProcedureResult:
     """Outcome of one signalling procedure.
 
-    ``messages`` are this procedure's own control messages in delivery
-    order (each stamped with its delivery time); ``elapsed`` is the
-    measured simulated time between ``started_at`` and
-    ``completed_at``.
+    ``by_protocol`` maps each protocol to the ``[messages, bytes]``
+    totals of this procedure's own delivered control messages, flow-mods
+    included; the messages themselves are not kept (subscribe to
+    :class:`~repro.epc.events.ControlMessageDelivered` to see them).
+    ``elapsed`` is the measured simulated time between ``started_at``
+    and ``completed_at``.
 
     ``outcome`` is terminal and one of:
 
@@ -79,7 +81,7 @@ class ProcedureResult:
     """
 
     name: str
-    messages: list[ControlMessage] = field(default_factory=list)
+    by_protocol: dict[str, list[int]] = field(default_factory=dict)
     elapsed: float = 0.0
     bearer: Optional[Bearer] = None
     started_at: float = 0.0
@@ -90,13 +92,22 @@ class ProcedureResult:
     failure: Optional[str] = None
     subject: Any = None
 
+    def count_message(self, message: ControlMessage) -> None:
+        """Add one delivered message to the per-protocol totals."""
+        entry = self.by_protocol.get(message.protocol)
+        if entry is None:
+            self.by_protocol[message.protocol] = [1, message.size]
+        else:
+            entry[0] += 1
+            entry[1] += message.size
+
     @property
     def message_count(self) -> int:
-        return len(self.messages)
+        return sum(count for count, _ in self.by_protocol.values())
 
     @property
     def byte_count(self) -> int:
-        return sum(msg.size for msg in self.messages)
+        return sum(size for _, size in self.by_protocol.values())
 
 
 class EPCControlPlane:
@@ -182,7 +193,7 @@ class EPCControlPlane:
         message = yield self.fabric.send_reliable(
             mtype, sender, receiver, policy=self.retry_policy,
             telemetry=result, **fields)
-        result.messages.append(message)
+        result.count_message(message)
         return message
 
     def _begin(self, name: str, subject) -> ProcedureResult:
@@ -241,13 +252,13 @@ class EPCControlPlane:
                   rule: FlowRule) -> Generator:
         message = yield self.controller.install_rule(switch_name, rule,
                                                      telemetry=result)
-        result.messages.append(message)
+        result.count_message(message)
 
     def _flow_del(self, result: ProcedureResult, switch_name: str,
                   cookie: str) -> Generator:
         message = yield self.controller.remove_rules(switch_name, cookie,
                                                      telemetry=result)
-        result.messages.append(message)
+        result.count_message(message)
 
     def _sgw_ul_rule(self, bearer: Bearer, site: GatewaySite) -> FlowRule:
         return FlowRule(
@@ -857,7 +868,7 @@ class EPCControlPlane:
         ]
         for future in self.controller.apply_batch(ops, telemetry=result):
             message = yield future
-            result.messages.append(message)
+            result.count_message(message)
         bearer.active = True
 
         yield from self._hop(result, m.MODIFY_BEARER_RESPONSE,
@@ -909,7 +920,7 @@ class EPCControlPlane:
         ]
         for future in self.controller.apply_batch(ops, telemetry=result):
             message = yield future
-            result.messages.append(message)
+            result.count_message(message)
         result.bearer = bearer
         self._complete(result, ue)
         return result

@@ -14,9 +14,12 @@ dependent latency instead of a fixed per-hop constant:
   it), one S1-MME SCTP association per eNodeB, one S11 and one S5-C
   GTP-C path, Gx/Rx Diameter legs and one OpenFlow channel per
   switch;
-* a :class:`ControlMessage` is stamped and recorded in the
-  :class:`~repro.epc.overhead.ControlLedger` at *delivery* time, so
-  ledger timestamps are the times the messages actually arrived.
+* a :class:`ControlMessage` is stamped at *delivery* time, so its
+  timestamp is the time it actually arrived, and is then announced as
+  a :class:`~repro.epc.events.ControlMessageDelivered` event.  The
+  fabric keeps no archive of delivered messages: each procedure
+  counts its own per protocol (``ProcedureResult.by_protocol``), and
+  a listener that wants the sequence records it from the hook bus.
 
 :meth:`SignallingFabric.send` returns a
 :class:`~repro.sim.engine.Future` that resolves to the delivered
@@ -41,8 +44,8 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
+from repro.epc.events import ControlMessageDelivered
 from repro.epc.messages import ControlMessage, MessageType
-from repro.epc.overhead import ControlLedger
 from repro.sim.engine import Future
 from repro.sim.hooks import PacketDropped
 from repro.sim.link import Link
@@ -208,10 +211,9 @@ class SignallingFabric:
     procedure can always make progress.
     """
 
-    def __init__(self, sim: "Simulator", ledger: ControlLedger,
+    def __init__(self, sim: "Simulator",
                  specs: dict[str, ChannelSpec]) -> None:
         self.sim = sim
-        self.ledger = ledger
         self.specs = specs
         self.channels: dict[str, SignallingChannel] = {}
         self.messages_sent = 0
@@ -314,10 +316,10 @@ class SignallingFabric:
         """Transmit one control message; resolves at delivery.
 
         The returned future's value is the delivered
-        :class:`ControlMessage` (timestamped with its arrival time and
-        already recorded in the ledger).  ``on_deliver`` runs at
-        delivery before the future resolves -- the SDN controller uses
-        it to apply a flow-mod to the switch the moment it arrives.
+        :class:`ControlMessage`, timestamped with its arrival time.
+        ``on_deliver`` runs at delivery before the future resolves --
+        the SDN controller uses it to apply a flow-mod to the switch the
+        moment it arrives.
 
         Plain ``send`` assumes lossless transports: if the fault layer
         drops the message the future never resolves.  Use
@@ -397,7 +399,9 @@ class SignallingFabric:
             self.duplicates += 1
             return
         message.timestamp = self.sim.now
-        self.ledger.record(message)
+        hooks = self.sim.hooks
+        if hooks.has(ControlMessageDelivered):
+            hooks.emit(ControlMessageDelivered(message))
         handler = self._handlers.get(message.receiver)
         if handler is not None:
             handler(message)

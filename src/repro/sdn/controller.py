@@ -1,14 +1,14 @@
 """The SDN controller (Ryu analog).
 
 GW-Cs program the GW user planes through this controller.  Every
-flow-table change is recorded as an OpenFlow control message in the
-control ledger so the overhead analysis (Section 4) sees SDN signalling
-alongside 3GPP signalling.
+flow-table change is an OpenFlow control message, counted in the owning
+procedure's per-protocol totals, so the overhead analysis (Section 4)
+sees SDN signalling alongside 3GPP signalling.
 
 Flow-mods travel over the signalling fabric (see :meth:`bind_fabric`):
 each one is a packet on the controller's per-switch OpenFlow channel,
 the rule is applied to the switch *at delivery*, and the returned
-:class:`~repro.sim.engine.Future` resolves to the recorded
+:class:`~repro.sim.engine.Future` resolves to the delivered
 :class:`ControlMessage`.  This is how flow-rule installation time
 becomes part of measured procedure latency.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.epc.messages import ControlMessage, MessageType
-from repro.epc.overhead import ControlLedger
 from repro.sdn.openflow import FlowRule
 from repro.sdn.switch import FlowSwitch
 
@@ -35,9 +34,8 @@ _FLOW_MOD_DELETE_SIZE = 344
 class SdnController:
     """Centralised OpenFlow controller managing a set of GW-U switches."""
 
-    def __init__(self, ledger: ControlLedger, name: str = "ryu") -> None:
+    def __init__(self, name: str = "ryu") -> None:
         self.name = name
-        self.ledger = ledger
         self.switches: dict[str, FlowSwitch] = {}
         self.flow_mods_sent = 0
         self._fabric: Optional["SignallingFabric"] = None
@@ -56,8 +54,6 @@ class SdnController:
         queueing are part of every procedure that programs the data
         plane; each flow-mod is retransmitted per ``retry_policy``.
         """
-        if fabric.ledger is not self.ledger:
-            raise ValueError("controller and fabric must share one ledger")
         self._fabric = fabric
         self.retry_policy = retry_policy
         for switch in self.switches.values():
@@ -77,7 +73,7 @@ class SdnController:
                      telemetry: Any = None) -> "Future":
         """Add a flow rule (one OpenFlow flow-mod message).
 
-        Returns a future resolving to the recorded message once the
+        Returns a future resolving to the delivered message once the
         flow-mod reaches the switch (which is when the rule takes
         effect).  Over a lossy channel the flow-mod is retransmitted
         per :attr:`retry_policy`; ``telemetry`` accumulates the retry
@@ -101,7 +97,7 @@ class SdnController:
                      telemetry: Any = None) -> "Future":
         """Delete all rules carrying a cookie (one flow-mod message).
 
-        Returns a future resolving to the recorded message (the switch
+        Returns a future resolving to the delivered message (the switch
         drops the rules at delivery).  Retransmitted like
         :meth:`install_rule`.
         """

@@ -53,6 +53,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -76,6 +77,10 @@ class MatchOutcome:
 #: Similarities of unit-norm descriptors lie in ``[-1, 1]``; -2 is
 #: strictly below every real value, so padding never wins a max.
 _PAD_SENTINEL = np.float32(-2.0)
+
+#: A candidate's name; mapped over a candidate list in C, with no
+#: Python-level generator step per model.
+_model_name = attrgetter("name")
 
 
 @dataclass(frozen=True)
@@ -276,7 +281,7 @@ class BatchObjectMatcher:
     def _resolve(self, models: Sequence[ObjectModel]
                  ) -> tuple[CandidateStack, tuple[str, ...], np.ndarray]:
         """Stack + caller-order canonical positions for a candidate list."""
-        names = tuple(m.name for m in models)
+        names = tuple(map(_model_name, models))
         memo = self._lookup_memo
         entry = memo.get(names)
         if entry is not None:

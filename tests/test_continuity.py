@@ -17,6 +17,7 @@ from repro.core.network import MobileNetwork, Pinger, wan_link_name
 from repro.faults import FaultInjector, FaultPlan, McServerOutage
 from repro.sdn.openflow import FlowMatch, FlowRule, Output
 from repro.sim.packet import Packet
+from tests.recording import MessageRecorder
 
 
 # -- configuration ---------------------------------------------------------
@@ -201,9 +202,11 @@ class TestResteer:
 
     def test_resteer_same_site_is_noop(self):
         fab, ue, session = fabric_with_session()
+        recorder = MessageRecorder(fab.network.hooks)
         result = fab.network.control_plane.resteer_bearer(
             ue, session.ebi, "edge0")
         assert result.message_count == 0
+        assert len(recorder) == 0
 
     def test_resteer_default_bearer_rejected(self):
         fab, ue, _ = fabric_with_session()

@@ -15,6 +15,7 @@ from repro.core.service import CIServerInstance, CIService, ServiceRegistry
 from repro.d2d.expressions import ExpressionNamespace
 from repro.d2d.messages import DiscoveryMessage
 from repro.localization.pathloss import PathLossRegression
+from tests.recording import MessageRecorder
 
 NS = ExpressionNamespace()
 
@@ -87,11 +88,13 @@ class TestMRS:
         """Repeated interest matches do not create extra bearers --
         the control-overhead saving of Section 5.3."""
         network, mrs, ue = acacia_net
+        recorder = MessageRecorder(network.hooks)
         first = mrs.request_connectivity(ue, "ar-retail")
-        ledger_size = len(network.ledger)
+        first_size = len(recorder)
+        assert first_size > 0           # the first request did signal
         second = mrs.request_connectivity(ue, "ar-retail")
         assert first is second
-        assert len(network.ledger) == ledger_size
+        assert len(recorder) == first_size
         assert len(ue.bearers) == 2     # default + one dedicated
 
     def test_release_tears_down(self, acacia_net):

@@ -9,6 +9,7 @@ from repro.apps.workload import CheckpointWorkload
 from repro.core.config import NetworkConfig
 from repro.core.network import MobileNetwork, Pinger
 from repro.vision.camera import R720x480
+from tests.recording import MessageRecorder
 
 
 def run_pings(seed):
@@ -86,25 +87,32 @@ def test_serial_and_parallel_runner_byte_identical():
 
 
 def test_ledger_replay_is_identical():
-    def ledger_fingerprint(seed):
+    def message_fingerprint(seed):
         network = MobileNetwork(NetworkConfig(seed=seed))
+        recorder = MessageRecorder(network.hooks)
         ue = network.add_ue()
-        network.control_plane.release_to_idle(ue)
-        network.control_plane.service_request(ue)
+        release = network.control_plane.release_to_idle(ue)
+        reestablish = network.control_plane.service_request(ue)
+        assert len(recorder) == (ue.attach_result.message_count
+                                 + release.message_count
+                                 + reestablish.message_count)
         return [(m.protocol, m.name, m.size, m.sender, m.receiver)
-                for m in network.ledger.messages]
+                for m in recorder.messages]
 
-    assert ledger_fingerprint(1) == ledger_fingerprint(1)
+    first = message_fingerprint(1)
+    assert first == message_fingerprint(1)
+    assert len(first) > 15      # the attach plus the 15-message cycle
 
 
 def test_concurrent_signalling_storm_is_deterministic():
     """100 UEs attach and activate dedicated bearers *concurrently*;
-    two runs of the same seed produce byte-identical ledgers, delivery
-    timestamps included."""
+    two runs of the same seed deliver byte-identical message sequences,
+    delivery timestamps included."""
     from repro.epc.entities import ServicePolicy
 
     def storm(seed, n_ues=100):
         network = MobileNetwork(NetworkConfig(seed=seed))
+        recorder = MessageRecorder(network.hooks)
         network.add_mec_site("mec")
         network.add_server("ci", site_name="mec")
         network.pcrf.configure(ServicePolicy(service_id="svc", qci=3))
@@ -124,7 +132,7 @@ def test_concurrent_signalling_storm_is_deterministic():
         assert all(p.value.bearer is not None for p in activations)
         return [(m.protocol, m.name, m.size, m.sender, m.receiver,
                  m.timestamp)
-                for m in network.ledger.messages]
+                for m in recorder.messages]
 
     first = storm(7)
     second = storm(7)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.network import MobileNetwork, Pinger
 from repro.epc.entities import ServicePolicy
 from repro.sim.packet import Packet
+from tests.recording import MessageRecorder
 
 
 @pytest.fixture()
@@ -63,8 +64,10 @@ class TestHandover:
     def test_handover_noop_for_same_cell(self, network):
         ue = network.add_ue()
         before = self.radio_wiring(network, ue)
+        recorder = MessageRecorder(network.hooks)
         result = network.handover(ue, "enb0")
         assert result.message_count == 0
+        assert len(recorder) == 0
         assert self.radio_wiring(network, ue) == before
 
     def test_handover_requires_connected_ue(self, network):
@@ -89,9 +92,8 @@ class TestHandover:
     def test_handover_message_mix(self, network):
         ue = network.add_ue()
         result = network.handover(ue, "enb1")
-        protocols = {}
-        for msg in result.messages:
-            protocols[msg.protocol] = protocols.get(msg.protocol, 0) + 1
+        protocols = {protocol: count for protocol, (count, _)
+                     in result.by_protocol.items()}
         assert protocols["X2AP"] == 4
         assert protocols["RRC"] == 2
         assert protocols["SCTP"] == 2       # path switch req/ack

@@ -6,6 +6,7 @@ from repro.core.config import NetworkConfig
 from repro.core.network import MobileNetwork
 from repro.epc.overhead import LTE_IDLE_TIMEOUT
 from repro.sim.packet import Packet
+from tests.recording import MessageRecorder
 
 
 def build(idle_timeout=None):
@@ -61,13 +62,13 @@ def test_downlink_traffic_keeps_ue_connected():
 def test_idle_cycle_emits_calibrated_messages():
     network, ue = build(idle_timeout=2.0)
     send_one(network, ue)
-    before = len(network.ledger)
+    recorder = MessageRecorder(network.hooks)
     network.sim.run(until=20.0)          # goes idle
-    release_msgs = network.ledger.messages[before:]
+    release_msgs = list(recorder.messages)
     assert len(release_msgs) == 7        # the calibrated release set
     send_one(network, ue)                # promotion
     assert ue.promotions == 1
-    total = network.ledger.messages[before:]
+    total = recorder.messages
     assert len(total) == 15
     assert sum(m.size for m in total) == 2914
 
@@ -78,9 +79,9 @@ def test_repeated_cycles_accumulate_overhead():
     for _ in range(3):
         network.sim.schedule_at(t, send_one, network, ue)
         t += 5.0                          # long gap -> idle in between
-    before = len(network.ledger)
+    recorder = MessageRecorder(network.hooks)
     network.sim.run(until=20.0)
-    cycle_msgs = [m for m in network.ledger.messages[before:]]
+    cycle_msgs = recorder.messages
     # 3 releases (7 each) + 2 promotions (8 each) = 37
     assert len(cycle_msgs) == 3 * 7 + 2 * 8
     assert ue.promotions == 2

@@ -5,6 +5,7 @@ import pytest
 from repro.core.network import MobileNetwork
 from repro.epc.paging import PAGING_MESSAGE, PAGING_RRC
 from repro.sim.packet import Packet
+from tests.recording import MessageRecorder
 
 
 @pytest.fixture()
@@ -48,10 +49,10 @@ def test_paged_packet_is_delivered_after_service_request(network):
 def test_paging_messages_recorded(network):
     ue = network.add_ue()
     go_idle(network, ue)
-    before = len(network.ledger)
+    recorder = MessageRecorder(network.hooks)
     server_sends(network, ue)
     network.sim.run(until=2.0)
-    names = [msg.name for msg in network.ledger.messages[before:]]
+    names = [msg.name for msg in recorder.messages]
     assert "DownlinkDataNotification" in names
     assert PAGING_MESSAGE.name in names
     assert PAGING_RRC.name in names

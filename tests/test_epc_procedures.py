@@ -10,8 +10,10 @@ import pytest
 from repro.core.network import MobileNetwork
 from repro.epc.entities import ServicePolicy
 from repro.epc.overhead import (APP_DRIVEN_EVENTS_PER_DAY,
-                                PROMOTION_EVENTS_PER_DAY, daily_overhead_mb)
+                                PROMOTION_EVENTS_PER_DAY,
+                                combined_by_protocol, daily_overhead_mb)
 from repro.epc.qos import MEC_BEARER_QCI
+from tests.recording import MessageRecorder
 
 
 @pytest.fixture()
@@ -71,9 +73,8 @@ class TestAttach:
     def test_attach_message_mix(self, network):
         ue = network.add_ue()
         result = ue.attach_result
-        protocols = {}
-        for msg in result.messages:
-            protocols[msg.protocol] = protocols.get(msg.protocol, 0) + 1
+        protocols = {protocol: count for protocol, (count, _)
+                     in result.by_protocol.items()}
         assert protocols["RRC"] == 5
         assert protocols["GTPv2"] == 6
         assert protocols["SCTP"] == 4
@@ -156,11 +157,7 @@ class TestIdleCycle:
         ue = network.add_ue()
         result = network.control_plane.release_to_idle(ue)
         assert result.message_count == 7
-        by_proto = {}
-        for msg in result.messages:
-            s = by_proto.setdefault(msg.protocol, [0, 0])
-            s[0] += 1
-            s[1] += msg.size
+        by_proto = result.by_protocol
         assert by_proto["SCTP"][0] == 3
         assert by_proto["GTPv2"][0] == 2
         assert by_proto["OpenFlow"][0] == 2
@@ -178,14 +175,9 @@ class TestIdleCycle:
         ue = network.add_ue()
         release = network.control_plane.release_to_idle(ue)
         reestablish = network.control_plane.service_request(ue)
-        messages = release.messages + reestablish.messages
-        assert len(messages) == 15
-        assert sum(msg.size for msg in messages) == 2914
-        totals = {}
-        for msg in messages:
-            c = totals.setdefault(msg.protocol, [0, 0])
-            c[0] += 1
-            c[1] += msg.size
+        assert release.message_count + reestablish.message_count == 15
+        assert release.byte_count + reestablish.byte_count == 2914
+        totals = combined_by_protocol(release, reestablish)
         assert totals["SCTP"] == [7, 1138]
         assert totals["GTPv2"] == [4, 352]
         assert totals["OpenFlow"] == [4, 1424]
@@ -212,8 +204,10 @@ class TestIdleCycle:
 
     def test_service_request_noop_when_connected(self, network):
         ue = network.add_ue()
+        recorder = MessageRecorder(network.hooks)
         result = network.control_plane.service_request(ue)
         assert result.message_count == 0
+        assert len(recorder) == 0
 
     def test_idle_cycle_restores_dedicated_bearer_rules(self, network):
         ue = network.add_ue()

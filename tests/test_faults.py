@@ -17,7 +17,6 @@ from repro.core.mrs import MecRegistrationServer
 from repro.core.network import MobileNetwork
 from repro.core.service import CIService
 from repro.epc.messages import MessageType
-from repro.epc.overhead import ControlLedger
 from repro.epc.signalling import (ChannelPerturbation, RetryPolicy,
                                   SignallingFabric, SignallingTimeout)
 from repro.faults import (ChannelDelaySpike, ChannelLoss, EntityCrash,
@@ -26,6 +25,7 @@ from repro.faults import (ChannelDelaySpike, ChannelLoss, EntityCrash,
                           McServerOutage)
 from repro.sim.engine import Simulator
 from repro.sim.hooks import PacketDropped
+from tests.recording import MessageRecorder
 
 
 def build(seed=0, **cfg):
@@ -174,8 +174,7 @@ class TestSignallingUnderLoss:
 
     def test_timeout_rejection_propagates_through_generators(self):
         sim = Simulator()
-        fabric = SignallingFabric(sim, ControlLedger(),
-                              SignallingConfig().transports())
+        fabric = SignallingFabric(sim, SignallingConfig().transports())
         fabric.open_channel("s11", "GTPv2", ["mme"], ["sgw-c"])
         fabric.add_perturbation("*", ChannelPerturbation(
             kind="loss", rate=1.0, rng=_always()))
@@ -192,8 +191,8 @@ class TestSignallingUnderLoss:
 
     def test_delay_spike_duplicate_is_suppressed(self):
         sim = Simulator()
-        fabric = SignallingFabric(sim, ControlLedger(),
-                              SignallingConfig().transports())
+        fabric = SignallingFabric(sim, SignallingConfig().transports())
+        recorder = MessageRecorder(sim.hooks)
         fabric.open_channel("s11", "GTPv2", ["mme"], ["sgw-c"])
         # every delivery held back past the retransmission timer: the
         # original and the retry both arrive, the second is a duplicate
@@ -214,7 +213,7 @@ class TestSignallingUnderLoss:
         assert fabric.retransmissions == 1
         assert fabric.duplicates == 1
         assert len(delivered) == 1           # exactly-once side effects
-        assert len(fabric.ledger) == 1       # duplicate never booked
+        assert len(recorder) == 1            # duplicate never delivered
 
 
 class _always:

@@ -1,5 +1,5 @@
-"""Signalling-fabric tests: delivery-time stamping, monotonic ledgers,
-channel contention and concurrent procedures."""
+"""Signalling-fabric tests: delivery-time stamping, monotonic delivery
+order, channel contention and concurrent procedures."""
 
 import pytest
 
@@ -10,8 +10,8 @@ from repro.epc.events import (ProcedureCompleted, ProcedureStarted,
                               UeIpAssigned)
 from repro.epc.signalling import SignallingFabric
 from repro.epc.messages import MessageType
-from repro.epc.overhead import ControlLedger
 from repro.sim.engine import SimulationError, Simulator
+from tests.recording import MessageRecorder
 
 
 def build(seed=0, **cfg):
@@ -22,8 +22,8 @@ def build(seed=0, **cfg):
 
 def test_send_resolves_with_delivered_message():
     sim = Simulator()
-    fabric = SignallingFabric(sim, ControlLedger(),
-                              SignallingConfig().transports())
+    fabric = SignallingFabric(sim, SignallingConfig().transports())
+    recorder = MessageRecorder(sim.hooks)
     fabric.open_channel("s1mme.enb0", "SCTP", ["enb0"], ["mme"])
     mtype = MessageType("SCTP", "Probe", 164)
 
@@ -34,13 +34,13 @@ def test_send_resolves_with_delivered_message():
     message = sim.run_until_complete(sim.spawn(proc()))
     assert message.timestamp == sim.now > 0.0
     assert message.fields["imsi"] == "001"
-    assert len(fabric.ledger) == 1
+    assert len(recorder) == 1
+    assert recorder.messages[0] is message
 
 
 def test_unknown_pair_gets_adhoc_channel():
     sim = Simulator()
-    fabric = SignallingFabric(sim, ControlLedger(),
-                              SignallingConfig().transports())
+    fabric = SignallingFabric(sim, SignallingConfig().transports())
     mtype = MessageType("X2AP", "HandoverRequest", 96)
 
     def proc():
@@ -73,9 +73,11 @@ def test_deadlocked_wait_is_detected():
 
 def test_messages_stamped_at_distinct_delivery_times():
     network = build()
+    recorder = MessageRecorder(network.hooks)
     ue = network.add_ue()
     result = ue.attach_result
-    stamps = [m.timestamp for m in result.messages]
+    assert len(recorder) == result.message_count
+    stamps = [m.timestamp for m in recorder.messages]
     assert len(set(stamps)) == len(stamps), \
         "each message must carry its own delivery time"
     assert stamps == sorted(stamps)
@@ -85,9 +87,10 @@ def test_messages_stamped_at_distinct_delivery_times():
 
 
 def test_ledger_timestamps_are_monotonic():
-    """Ledger order is delivery order, even with procedures in flight
-    concurrently -- timestamps never step backwards."""
+    """Delivery events come in delivery order, even with procedures in
+    flight concurrently -- timestamps never step backwards."""
     network = build()
+    recorder = MessageRecorder(network.hooks)
     network.add_mec_site("mec")
     network.add_server("ci", site_name="mec")
     network.pcrf.configure(ServicePolicy(service_id="svc", qci=3))
@@ -101,7 +104,7 @@ def test_ledger_timestamps_are_monotonic():
     network.sim.run()
     assert all(p.finished and p.error is None for p in procs)
 
-    stamps = [m.timestamp for m in network.ledger.messages]
+    stamps = [m.timestamp for m in recorder.messages]
     assert stamps, "the storm must have recorded messages"
     assert all(a <= b for a, b in zip(stamps, stamps[1:]))
 
@@ -179,12 +182,14 @@ def test_procedure_phase_events_emitted():
 
 def test_entities_count_delivered_messages():
     network = build()
+    recorder = MessageRecorder(network.hooks)
     network.add_ue()
     assert network.mme.messages_received > 0
     assert network.sgwc.messages_received > 0
     assert network.pgwc.messages_received > 0
     assert network.enb.messages_received > 0
-    assert network.mme.last_message is not None
+    assert network.mme.messages_received == sum(
+        m.receiver == network.mme.name for m in recorder.messages)
 
 
 def test_signalling_config_is_threaded():

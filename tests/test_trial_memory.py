@@ -1,14 +1,17 @@
 """A running trial keeps only what it reports.
 
-Delivered packets and completed signalling transfers must be freed by
-reference counting as soon as they are done: a sink keeps counters, not
-packets, and a reliable signalling transfer leaves no reference cycle
-for the cyclic collector once it is delivered or has expired.
+Delivered packets, control messages and completed signalling transfers
+must be freed by reference counting as soon as they are done: a sink
+keeps counters, not packets; a procedure keeps per-protocol counters,
+not its control messages; and a reliable signalling transfer leaves no
+reference cycle for the cyclic collector once it is delivered or has
+expired.
 """
 
 import gc
 import sys
 
+from repro.epc.messages import ControlMessage
 from repro.scenario import Scenario
 from repro.scenario.runtime import ScenarioRun
 from repro.sim.engine import Simulator
@@ -55,6 +58,27 @@ def test_signalling_retries_leave_no_cyclic_garbage():
         # the world is still held by ``run``: anything unreachable now
         # is a cycle the trial left behind while running
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_delivered_control_messages_are_not_kept():
+    trial = lossy_attach_trial()
+    gc.collect()
+    gc.disable()
+    try:
+        run = ScenarioRun(trial)
+        for time, callback in run.milestones():
+            run.sim.run(until=time)
+            callback()
+        assert run.network.fabric.retransmissions > 0
+        assert run.attach_outcomes.get("retried-ok", 0) > 0
+        # ``run`` still holds the world, the attach results included.
+        # With the collector off, a message still alive is either held
+        # by that world or caught in a cycle; neither may happen.
+        kept = [obj for obj in gc.get_objects()
+                if isinstance(obj, ControlMessage)]
+        assert len(kept) == 0, f"{len(kept)} delivered messages kept"
     finally:
         gc.enable()
 

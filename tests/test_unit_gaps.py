@@ -6,7 +6,8 @@ from repro.core.config import NetworkConfig
 from repro.epc import messages as m
 from repro.epc.messages import (REESTABLISH_SEQUENCE, RELEASE_SEQUENCE,
                                 ControlMessage)
-from repro.epc.overhead import ControlLedger
+from repro.epc.overhead import combined_by_protocol
+from repro.epc.procedures import ProcedureResult
 from repro.sim.engine import Simulator
 from repro.sim.monitor import FlowStats
 from repro.sim.packet import Packet
@@ -44,20 +45,34 @@ class TestMessageRegistry:
         assert msg.fields["k"] == 1
 
 
-class TestControlLedger:
-    def test_by_protocol_and_slice(self):
-        ledger = ControlLedger()
-        ledger.record(ControlMessage(m.CREATE_BEARER_REQUEST, "a", "b"))
-        ledger.record(ControlMessage(m.ERAB_SETUP_REQUEST, "a", "b"))
-        ledger.record(ControlMessage(m.CREATE_BEARER_RESPONSE, "b", "a"))
-        summary = ledger.by_protocol()
-        assert summary["GTPv2"].messages == 2
-        assert summary["SCTP"].messages == 1
-        view = ledger.slice_since(1)
-        assert view.total_messages == 2
-        assert len(ledger) == 3
-        ledger.clear()
-        assert ledger.total_bytes == 0
+class TestProtocolCounters:
+    def test_counts_and_bytes_per_protocol(self):
+        result = ProcedureResult("probe")
+        assert result.message_count == result.byte_count == 0
+        result.count_message(ControlMessage(m.CREATE_BEARER_REQUEST, "a", "b"))
+        result.count_message(ControlMessage(m.ERAB_SETUP_REQUEST, "a", "b"))
+        result.count_message(ControlMessage(m.CREATE_BEARER_RESPONSE, "b", "a"))
+        assert result.by_protocol == {
+            "GTPv2": [2, m.CREATE_BEARER_REQUEST.size
+                      + m.CREATE_BEARER_RESPONSE.size],
+            "SCTP": [1, m.ERAB_SETUP_REQUEST.size]}
+        assert result.message_count == 3
+        assert result.byte_count == (m.CREATE_BEARER_REQUEST.size
+                                     + m.ERAB_SETUP_REQUEST.size
+                                     + m.CREATE_BEARER_RESPONSE.size)
+
+    def test_combined_by_protocol_sums_results(self):
+        first, second = ProcedureResult("a"), ProcedureResult("b")
+        first.count_message(ControlMessage(m.CREATE_BEARER_REQUEST, "a", "b"))
+        second.count_message(ControlMessage(m.DELETE_BEARER_REQUEST, "a", "b"))
+        second.count_message(ControlMessage(m.AA_REQUEST, "a", "b"))
+        assert combined_by_protocol(first, second) == {
+            "GTPv2": [2, m.CREATE_BEARER_REQUEST.size
+                      + m.DELETE_BEARER_REQUEST.size],
+            "Diameter": [1, m.AA_REQUEST.size]}
+        assert first.by_protocol == {
+            "GTPv2": [1, m.CREATE_BEARER_REQUEST.size]}
+        assert combined_by_protocol() == {}
 
 
 class TestFlowStats:
