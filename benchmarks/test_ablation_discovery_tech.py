@@ -59,7 +59,7 @@ def run_technology(tech, seed=5):
     }
 
 
-def test_ablation_discovery_tech(report, benchmark):
+def test_ablation_discovery_tech(report):
     results = {tech.name: run_technology(tech) for tech in TECHNOLOGIES}
 
     r = report("ablation_discovery_tech",
@@ -87,6 +87,3 @@ def test_ablation_discovery_tech(report, benchmark):
     # decodable broadcast, while the LTE modem forwards only matches
     assert lte["host_wakeups"] == lte["matches"]
     assert ibeacon["host_wakeups"] > 5 * ibeacon["matches"]
-
-    benchmark.pedantic(run_technology, args=(IBEACON,), rounds=1,
-                       iterations=1)

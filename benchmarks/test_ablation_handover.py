@@ -62,7 +62,7 @@ def run_with_handover(scenario, db):
     }
 
 
-def test_ablation_handover(scenario, db, report, benchmark):
+def test_ablation_handover(scenario, db, report):
     result = run_with_handover(scenario, db)
 
     r = report("ablation_handover",
@@ -82,6 +82,3 @@ def test_ablation_handover(scenario, db, report, benchmark):
     assert abs(result["after_ms"] - result["before_ms"]) < \
         0.2 * result["before_ms"]
     assert result["ho_elapsed_ms"] < 60
-
-    benchmark.pedantic(run_with_handover, args=(scenario, db), rounds=1,
-                       iterations=1)

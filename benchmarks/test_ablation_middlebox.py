@@ -99,7 +99,7 @@ def run_case(classify_at_source: bool, seed=9):
     }
 
 
-def test_ablation_middlebox(report, benchmark):
+def test_ablation_middlebox(report):
     middlebox = run_case(classify_at_source=False)
     acacia = run_case(classify_at_source=True)
 
@@ -129,5 +129,3 @@ def test_ablation_middlebox(report, benchmark):
     # background bursts) and costs the operator CPU
     assert acacia["ci_p99_ms"] < middlebox["ci_p99_ms"]
     assert acacia["cpu_seconds"] < 0.05 * middlebox["cpu_seconds"]
-
-    benchmark.pedantic(run_case, args=(True,), rounds=1, iterations=1)

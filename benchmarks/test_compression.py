@@ -13,7 +13,7 @@ RESOLUTIONS = [R1280x720, R960x720, R720x480]
 PAPER_ENCODE_MS = {R1280x720: 53, R960x720: 38, R720x480: 23}
 
 
-def test_compression_micro(report, benchmark):
+def test_compression_micro(report):
     rows = []
     for resolution in RESOLUTIONS:
         encode = JPEG90.encode_time(resolution)
@@ -31,5 +31,3 @@ def test_compression_micro(report, benchmark):
         assert JPEG90.encode_time(resolution) * 1e3 == pytest.approx(
             PAPER_ENCODE_MS[resolution], abs=4.0)
         assert 4.5 <= JPEG90.compression_ratio(resolution) <= 6.0
-
-    benchmark(JPEG90.encode_time, R960x720)

@@ -63,7 +63,7 @@ def run_tcp_profile(profile):
     return src
 
 
-def test_ext_tcp_dataplane(report, benchmark):
+def test_ext_tcp_dataplane(report):
     results = {}
     for profile in (OPENEPC_USERSPACE_PROFILE, ACACIA_OVS_PROFILE,
                     IDEAL_PROFILE):
@@ -87,6 +87,3 @@ def test_ext_tcp_dataplane(report, benchmark):
     # payload_bits / (2 * per-packet cost), as with the greedy flow
     ceiling = 1400 * 8 / (2 * OPENEPC_USERSPACE_PROFILE.slow_path_cost)
     assert openepc == pytest.approx(ceiling, rel=0.35)
-
-    benchmark.pedantic(run_tcp_profile, args=(OPENEPC_USERSPACE_PROFILE,),
-                       rounds=1, iterations=1)

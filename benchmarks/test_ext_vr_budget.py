@@ -39,7 +39,7 @@ def run_vr(edge: bool) -> VRClient:
     return client
 
 
-def test_ext_vr_budget(report, benchmark):
+def test_ext_vr_budget(report):
     edge = run_vr(edge=True)
     cloud = run_vr(edge=False)
 
@@ -59,5 +59,3 @@ def test_ext_vr_budget(report, benchmark):
     assert cloud.fraction_within(0.050) == 0.0
     assert np.median(edge.motion_to_photon()) < \
         0.5 * np.median(cloud.motion_to_photon())
-
-    benchmark.pedantic(run_vr, args=(True,), rounds=1, iterations=1)

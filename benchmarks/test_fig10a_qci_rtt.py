@@ -45,7 +45,7 @@ def measure_qci(qci: int) -> np.ndarray:
     return np.array(pinger.rtts)
 
 
-def test_fig10a_qci_rtt(report, benchmark):
+def test_fig10a_qci_rtt(report):
     rows = []
     stats = {}
     for qci in QCIS:
@@ -69,5 +69,3 @@ def test_fig10a_qci_rtt(report, benchmark):
     # which shares the queue with the best-effort upload
     assert np.median(stats[5]) <= np.median(stats[9])
     assert np.percentile(stats[9], 95) >= np.percentile(stats[5], 95)
-
-    benchmark.pedantic(measure_qci, args=(7,), rounds=1, iterations=1)

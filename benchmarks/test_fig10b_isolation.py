@@ -19,7 +19,7 @@ depend on the worker count.
 
 import pytest
 
-from repro.exp import ExperimentRunner, preset, run_trial
+from repro.exp import ExperimentRunner, preset
 
 SYSTEM_LABELS = {"conventional": "Conventional EPC",
                  "mec-shared": "EPC with MEC",
@@ -27,7 +27,7 @@ SYSTEM_LABELS = {"conventional": "Conventional EPC",
 BG_RATES_MBPS = [0, 40, 80, 100]
 
 
-def test_fig10b_isolation(report, benchmark):
+def test_fig10b_isolation(report):
     spec = preset("fig10b")
     outcome = ExperimentRunner(spec, workers=2).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
@@ -62,9 +62,3 @@ def test_fig10b_isolation(report, benchmark):
     assert results[("ACACIA", 100)] == pytest.approx(
         results[("ACACIA", 0)], rel=0.5)
     assert results[("ACACIA", 100)] < 0.020
-
-    quiet_acacia = next(t for t in spec.trials()
-                        if t.param_dict["system"] == "acacia"
-                        and t.param_dict["bg_mbps"] == 0)
-    benchmark.pedantic(run_trial, args=(quiet_acacia,), rounds=1,
-                       iterations=1)

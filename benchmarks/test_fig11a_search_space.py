@@ -11,7 +11,7 @@ The measurement itself is the declarative ``fig11a`` preset (see
 ``python -m repro exp run fig11a`` regenerates exactly these numbers.
 """
 
-from repro.exp import ExperimentRunner, preset, run_trial
+from repro.exp import ExperimentRunner, preset
 from repro.vision.camera import R720x480, R960x720, R1280x720
 
 SCHEMES = ["acacia", "rxpower", "naive"]
@@ -19,7 +19,7 @@ MACHINES = ["i7-8core", "xeon-32core"]
 RESOLUTIONS = [R720x480, R960x720, R1280x720]
 
 
-def test_fig11a_search_space(report, benchmark):
+def test_fig11a_search_space(report):
     spec = preset("fig11a")
     outcome = ExperimentRunner(spec).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
@@ -72,8 +72,3 @@ def test_fig11a_search_space(report, benchmark):
     assert misses["naive"] == []
     assert misses["acacia"] == []
     assert len(misses["rxpower"]) <= 3
-
-    i7_trial = next(t for t in spec.trials()
-                    if t.param_dict["machine"] == "i7-8core")
-    benchmark.pedantic(run_trial, args=(i7_trial,), rounds=1,
-                       iterations=1)

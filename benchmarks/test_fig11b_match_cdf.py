@@ -16,7 +16,7 @@ from repro.vision.costmodel import DEVICES
 MACHINES = ["xeon-32core", "i7-8core"]
 
 
-def test_fig11b_match_cdf(scenario, db, report, benchmark):
+def test_fig11b_match_cdf(scenario, db, report):
     localization, optimizer, samples = build_context(scenario, db, seed=31)
 
     series = {}
@@ -57,5 +57,3 @@ def test_fig11b_match_cdf(scenario, db, report, benchmark):
         rx = series[("rxpower", machine)]
         naive = series[("naive", machine)]
         assert np.median(acacia) < np.median(rx) < np.median(naive)
-
-    benchmark(lambda: DEVICES["i7-8core"].db_match_time(R960x720, 105))

@@ -31,7 +31,7 @@ def mean_time(device, db, localization, optimizer, samples, scheme,
     return float(np.mean(times))
 
 
-def test_fig12_multiclient(scenario, db, report, benchmark):
+def test_fig12_multiclient(scenario, db, report):
     localization, optimizer, samples = build_context(scenario, db, seed=31)
     results = {}
     for machine in MACHINES:
@@ -65,9 +65,3 @@ def test_fig12_multiclient(scenario, db, report, benchmark):
     gap_8 = results[("i7-8core", "naive", 8)] - \
         results[("i7-8core", "acacia", 8)]
     assert gap_8 > 4 * gap_1
-
-    benchmark.pedantic(
-        mean_time,
-        args=(DEVICES["i7-8core"], db, localization, optimizer, samples,
-              "naive", 8),
-        rounds=1, iterations=1)

@@ -16,13 +16,13 @@ The measurement itself is the declarative ``fig13`` preset (see
 
 import pytest
 
-from repro.exp import ExperimentRunner, preset, run_trial
+from repro.exp import ExperimentRunner, preset
 
 KINDS = ("acacia", "mec", "cloud")
 FRAMES = 8
 
 
-def test_fig13_end_to_end(report, benchmark):
+def test_fig13_end_to_end(report):
     spec = preset("fig13")
     outcome = ExperimentRunner(spec).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
@@ -69,8 +69,3 @@ def test_fig13_end_to_end(report, benchmark):
     assert 0.05 <= mec_vs_cloud <= 0.40
     # compute (encode/decode/SURF) is scheme-independent
     assert acacia["compute"] == pytest.approx(cloud["compute"], rel=0.05)
-
-    mec_trial = next(t for t in spec.trials()
-                     if t.param_dict["kind"] == "mec")
-    benchmark.pedantic(run_trial, args=(mec_trial,), rounds=1,
-                       iterations=1)

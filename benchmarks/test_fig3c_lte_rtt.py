@@ -12,7 +12,7 @@ from repro.sim.wan import LTE_WAN_PROFILES, rtt_cdf
 SAMPLES = 2000
 
 
-def test_fig3c_lte_rtt(report, benchmark):
+def test_fig3c_lte_rtt(report):
     rng = np.random.default_rng(0)
     rows = []
     samples = {}
@@ -43,5 +43,3 @@ def test_fig3c_lte_rtt(report, benchmark):
     assert np.median(samples["ec2-oregon"]) > ca
     assert np.median(samples["ec2-virginia"]) > \
         np.median(samples["ec2-oregon"])
-
-    benchmark(LTE_WAN_PROFILES["ec2-california"].sample_rtt, rng, 100)

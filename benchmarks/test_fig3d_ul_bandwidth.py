@@ -7,7 +7,7 @@ half at fair signal, decreasing with region distance.
 from repro.sim.wan import LTE_WAN_PROFILES
 
 
-def test_fig3d_ul_bandwidth(report, benchmark):
+def test_fig3d_ul_bandwidth(report):
     rows = []
     for name, profile in LTE_WAN_PROFILES.items():
         rows.append([
@@ -25,5 +25,3 @@ def test_fig3d_ul_bandwidth(report, benchmark):
     for profile in LTE_WAN_PROFILES.values():
         assert profile.ul_bandwidth("fair") < \
             profile.ul_bandwidth("excellent")
-
-    benchmark(ca.ul_bandwidth, "excellent")

@@ -7,7 +7,7 @@ from repro.vision.camera import (PREVIEW_FPS, R320x240, R1920x1080,
                                  CameraModel)
 
 
-def test_fig3e_camera_fps(report, benchmark):
+def test_fig3e_camera_fps(report):
     camera = CameraModel()
     ordered = sorted(PREVIEW_FPS, key=lambda r: r.pixels)
     rows = [[str(res), f"{camera.preview_fps(res):.0f}"]
@@ -21,5 +21,3 @@ def test_fig3e_camera_fps(report, benchmark):
     assert camera.preview_fps(R1920x1080) == 10.0
     fps = [camera.preview_fps(res) for res in ordered]
     assert fps == sorted(fps, reverse=True)
-
-    benchmark(camera.preview_fps, R1920x1080)

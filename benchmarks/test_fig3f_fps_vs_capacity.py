@@ -17,7 +17,7 @@ CODECS = [JPEG50, JPEG80, JPEG90, JPEG100, PNG, RAW_GRAY]
 SCENE_COMPLEXITY = 0.47
 
 
-def test_fig3f_fps_vs_capacity(report, benchmark):
+def test_fig3f_fps_vs_capacity(report):
     camera_fps = CameraModel().preview_fps(R1920x1080)
     rows = []
     for codec in CODECS:
@@ -43,5 +43,3 @@ def test_fig3f_fps_vs_capacity(report, benchmark):
                                  scene_complexity=SCENE_COMPLEXITY)
                   for c in CODECS]
         assert series == sorted(series, reverse=True)
-
-    benchmark(achievable_fps, JPEG90, R1920x1080, 12e6, camera_fps)

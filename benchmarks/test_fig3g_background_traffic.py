@@ -15,13 +15,13 @@ depend on the worker count.
 
 import pytest
 
-from repro.exp import ExperimentRunner, preset, run_trial
+from repro.exp import ExperimentRunner, preset
 
 RTT_LABELS = {70: "70 ms", 18: "18 ms", 8: "8 ms"}
 BG_RATES_MBPS = [0, 40, 80, 90, 100]
 
 
-def test_fig3g_background_traffic(report, benchmark):
+def test_fig3g_background_traffic(report):
     spec = preset("fig3g")
     outcome = ExperimentRunner(spec, workers=2).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
@@ -53,9 +53,3 @@ def test_fig3g_background_traffic(report, benchmark):
     # baseline ordering matches the emulated RTTs
     assert results[("8 ms", 0)] < results[("18 ms", 0)] < \
         results[("70 ms", 0)]
-
-    quiet_8ms = next(t for t in spec.trials()
-                     if t.param_dict["rtt_ms"] == 8
-                     and t.param_dict["bg_mbps"] == 0)
-    benchmark.pedantic(run_trial, args=(quiet_8ms,), rounds=1,
-                       iterations=1)

@@ -13,7 +13,7 @@ DB_SIZES = [1, 5, 10, 25, 50]
 RESOLUTIONS = [R320x240, R480x360, R720x540, R960x720, R1440x1080]
 
 
-def test_fig3h_db_size(report, benchmark):
+def test_fig3h_db_size(report):
     device = DEVICES["i7-8core"]
     rows = []
     for resolution in RESOLUTIONS:
@@ -31,5 +31,3 @@ def test_fig3h_db_size(report, benchmark):
     t50 = device.db_match_time(R1440x1080, 50)
     assert abs(t50 - 50 * t1) < 1e-9
     assert 0.3 <= t50 <= 2.0
-
-    benchmark(device.db_match_time, R960x720, 50)

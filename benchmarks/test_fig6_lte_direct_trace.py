@@ -49,7 +49,7 @@ def run_walk():
     return scenario, walk, trace
 
 
-def test_fig6_lte_direct_trace(report, benchmark):
+def test_fig6_lte_direct_trace(report):
     scenario, walk, trace = run_walk()
 
     r = report("fig6_lte_direct_trace",
@@ -88,5 +88,3 @@ def test_fig6_lte_direct_trace(report, benchmark):
         closest = min(math.dist(walk.position_at(t), lm_pos)
                       for t in np.arange(0, walk.duration, PERIOD))
         assert dist_at_peak <= closest + 8.0
-
-    benchmark.pedantic(run_walk, rounds=1, iterations=1)

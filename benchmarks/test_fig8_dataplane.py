@@ -68,7 +68,7 @@ def run_profile(profile):
     return meter.mean_throughput(skip_first=1), src.goodput(DURATION)
 
 
-def test_fig8_dataplane(report, benchmark):
+def test_fig8_dataplane(report):
     results = {}
     for profile in (OPENEPC_USERSPACE_PROFILE, ACACIA_OVS_PROFILE,
                     IDEAL_PROFILE):
@@ -93,6 +93,3 @@ def test_fig8_dataplane(report, benchmark):
     expected_ceiling = 1400 * 8 / (
         2 * OPENEPC_USERSPACE_PROFILE.slow_path_cost)
     assert openepc == pytest.approx(expected_ceiling, rel=0.15)
-
-    benchmark.pedantic(run_profile, args=(OPENEPC_USERSPACE_PROFILE,),
-                       rounds=1, iterations=1)

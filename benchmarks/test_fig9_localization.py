@@ -67,7 +67,7 @@ def run_sweep(scenario, workload, seed=11):
     return stats
 
 
-def test_fig9_localization(scenario, workload, report, benchmark):
+def test_fig9_localization(scenario, workload, report):
     stats = run_sweep(scenario, workload)
 
     r = report("fig9_localization",
@@ -87,6 +87,3 @@ def test_fig9_localization(scenario, workload, report, benchmark):
     assert spread7 < spread3
     # ... and the headline: ~3 m average error with all 7 landmarks
     assert 1.5 <= stats[7]["mean"] <= 4.5
-
-    benchmark.pedantic(run_sweep, args=(scenario, workload),
-                       rounds=1, iterations=1)

@@ -33,7 +33,7 @@ def release_reestablish_cycle(network, ue):
     return release, reestablish
 
 
-def test_overhead_control_messages(report, benchmark):
+def test_overhead_control_messages(report):
     network, ue = build()
     cycle_results = release_reestablish_cycle(network, ue)
 
@@ -64,14 +64,8 @@ def test_overhead_control_messages(report, benchmark):
     assert daily_overhead_mb(total_bytes, PROMOTION_EVENTS_PER_DAY) == \
         pytest.approx(20.0, abs=0.1)
 
-    def cycle():
-        net, device = build()
-        return release_reestablish_cycle(net, device)
 
-    benchmark.pedantic(cycle, rounds=3, iterations=1)
-
-
-def test_ablation_bearer_policies(report, benchmark):
+def test_ablation_bearer_policies(report):
     """On-demand MEC bearers vs an always-on second bearer."""
     network, ue = build()
 
@@ -112,5 +106,3 @@ def test_ablation_bearer_policies(report, benchmark):
 
     assert acacia_daily < always_on_daily
     assert acacia_daily - baseline_daily < 0.1   # <0.1 MB of extra signalling
-
-    benchmark.pedantic(build, rounds=1, iterations=1)

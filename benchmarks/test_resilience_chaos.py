@@ -23,7 +23,7 @@ def run_chaos():
     return result
 
 
-def test_resilience_chaos(report, benchmark):
+def test_resilience_chaos(report):
     result = run_chaos()
     by = result.metrics_by("loss", "retries")
 
@@ -70,5 +70,3 @@ def test_resilience_chaos(report, benchmark):
 
     # determinism: a rerun of the same spec is byte-identical
     assert run_chaos().canonical_json() == result.canonical_json()
-
-    benchmark.pedantic(run_chaos, rounds=1, iterations=1)

@@ -132,8 +132,7 @@ def cmd_run_experiment(args: argparse.Namespace) -> int:
         return 2
     print(f"regenerating: {description}\n")
     command = [sys.executable, "-m", "pytest",
-               str(_ROOT / "benchmarks" / bench_file),
-               "--benchmark-only", "-q", "-s"]
+               str(_ROOT / "benchmarks" / bench_file), "-q", "-s"]
     return subprocess.call(command, cwd=_ROOT)
 
 

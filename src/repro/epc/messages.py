@@ -11,11 +11,7 @@ sizes taken from typical captures.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional
-
-_msg_seq = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,6 @@ class ControlMessage:
     receiver: str
     fields: dict = field(default_factory=dict)
     timestamp: float = 0.0
-    seq: int = field(default_factory=lambda: next(_msg_seq))
 
     @property
     def protocol(self) -> str:

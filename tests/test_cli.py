@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import sys
+
 import pytest
 
 from repro.cli import DEMOS, EXPERIMENTS, build_parser, main
@@ -30,6 +32,23 @@ def test_overhead_prints_calibrated_totals(capsys):
 def test_unknown_experiment_fails_cleanly(capsys):
     assert main(["run-experiment", "fig99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
+
+
+def test_known_experiment_runs_its_bench_under_pytest(capsys, monkeypatch):
+    from pathlib import Path
+    calls = []
+
+    def fake_call(command, cwd):
+        calls.append(command)
+        return 3
+
+    monkeypatch.setattr("repro.cli.subprocess.call", fake_call)
+    assert main(["run-experiment", "fig3d"]) == 3
+    bench = Path(__file__).resolve().parent.parent / "benchmarks" / \
+        EXPERIMENTS["fig3d"][0]
+    assert bench.exists()
+    assert calls == [[sys.executable, "-m", "pytest", str(bench), "-q", "-s"]]
+    assert "regenerating" in capsys.readouterr().out
 
 
 def test_unknown_demo_fails_cleanly(capsys):

@@ -4,7 +4,7 @@
 Runs every shipped entry point under a call-only tracer and lists the
 functions of ``src/repro`` that none of them calls:
 
-* the figure suite (``pytest benchmarks --benchmark-disable``);
+* the figure suite (``pytest benchmarks``);
 * every script in ``examples/``;
 * every document in ``scenarios/`` and ``perfbench/scenarios/``,
   through ``repro scenario run``;
@@ -167,8 +167,7 @@ def entry_points(checkout: Path) -> list[tuple[str, list[list[str]]]]:
     """``(name, commands)`` for every shipped entry point."""
     py = sys.executable
     repro = [py, "-m", "repro"]
-    points = [("figures", [[py, "-m", "pytest", "benchmarks",
-                            "--benchmark-disable", "-q",
+    points = [("figures", [[py, "-m", "pytest", "benchmarks", "-q",
                             "-p", "no:cacheprovider"]])]
     for script in sorted((checkout / "examples").glob("*.py")):
         points.append((f"example:{script.stem}",
@@ -231,8 +230,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
         checkout = Path(tmp) / "checkout"
         shutil.copytree(ROOT, checkout, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache", ".benchmarks",
-            ".hypothesis"))
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
         src = checkout / "src"
         reached_by: dict[str, set[tuple[str, int]]] = {}
         for n, (name, commands) in enumerate(entry_points(checkout)):
