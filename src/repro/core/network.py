@@ -156,7 +156,7 @@ class MobileNetwork:
             raise ValueError(f"eNodeB {name!r} already exists")
         enb = ENodeB(self.sim, name, ip=f"192.168.1.{index + 1}")
         self.enbs[name] = enb
-        self.control_plane.register_enb(enb)
+        self.control_plane.register_enb(enb.name)
         for site in self.sites.values():
             self._wire_enb_to_site(enb, site)
         return enb

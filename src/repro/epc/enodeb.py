@@ -48,12 +48,6 @@ class ENodeB(Node):
         #: ue_ip -> radio port name
         self.radio_ports: dict[str, str] = {}
         self.unrouted = 0
-        #: control messages delivered to this eNodeB over the fabric
-        self.messages_received = 0
-
-    def handle_message(self, message) -> None:
-        """Signalling-fabric delivery hook (S1-AP, RRC, X2-AP)."""
-        self.messages_received += 1
 
     # -- configuration (driven by the MME during procedures) --------------
 

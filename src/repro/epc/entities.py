@@ -16,25 +16,8 @@ from repro.epc.qos import DEFAULT_BEARER_QCI, qos_for
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.epc.enodeb import ENodeB
-    from repro.epc.messages import ControlMessage
     from repro.epc.ue import UEDevice
     from repro.sdn.switch import FlowSwitch
-
-
-class ControlEndpoint:
-    """Mixin turning an entity into a signalling-fabric message handler.
-
-    The control plane registers each entity's :meth:`handle_message`
-    with the fabric, so every control message addressed to it is
-    counted as it is *delivered* -- the per-entity view of signalling
-    load under concurrent procedures.
-    """
-
-    def _init_endpoint(self) -> None:
-        self.messages_received = 0
-
-    def handle_message(self, message: "ControlMessage") -> None:
-        self.messages_received += 1
 
 
 # --------------------------------------------------------------------------
@@ -88,13 +71,12 @@ class UeContext:
     state: str = "connected"        # "connected" | "idle"
 
 
-class MME(ControlEndpoint):
+class MME:
     """Mobility Management Entity: tracks attached UEs and their state."""
 
     def __init__(self, name: str = "mme") -> None:
         self.name = name
         self.contexts: dict[str, UeContext] = {}
-        self._init_endpoint()
 
     def register(self, context: UeContext) -> None:
         self.contexts[context.imsi] = context
@@ -144,13 +126,12 @@ class PolicyRule:
     server_port: Optional[int] = None
 
 
-class PCRF(ControlEndpoint):
+class PCRF:
     """Policy and Charging Rules Function."""
 
     def __init__(self) -> None:
         self._policies: dict[str, ServicePolicy] = {}
         self.rules_generated: list[PolicyRule] = []
-        self._init_endpoint()
 
     def configure(self, policy: ServicePolicy) -> None:
         self._policies[policy.service_id] = policy
@@ -223,13 +204,12 @@ class GatewaySite:
                            f"{enb_name!r}") from None
 
 
-class SGWC(ControlEndpoint):
+class SGWC:
     """Serving-gateway control plane: manages SGW-U TEIDs per site."""
 
     def __init__(self, name: str = "sgw-c") -> None:
         self.name = name
         self.sites: dict[str, GatewaySite] = {}
-        self._init_endpoint()
 
     def add_site(self, site: GatewaySite) -> None:
         self.sites[site.name] = site
@@ -241,13 +221,12 @@ class SGWC(ControlEndpoint):
             raise KeyError(f"SGW-C knows no gateway site {name!r}") from None
 
 
-class PGWC(ControlEndpoint):
+class PGWC:
     """PDN-gateway control plane: owns the UE IP pool and the PCEF."""
 
     def __init__(self, name: str = "pgw-c",
                  ip_pool: Optional[IpPool] = None) -> None:
         self.name = name
-        self._init_endpoint()
         self.ip_pool = ip_pool if ip_pool is not None else IpPool()
         self.sites: dict[str, GatewaySite] = {}
         #: PCEF state: rules installed by the PCRF, by (imsi, service_id)

@@ -11,7 +11,7 @@ sizes taken from typical captures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,12 @@ RRC_CONNECTION_SETUP_COMPLETE = MessageType("RRC", "RRCConnectionSetupComplete",
 
 @dataclass
 class ControlMessage:
-    """A concrete control-message instance exchanged during a procedure."""
+    """One control message of a procedure: its type and endpoints, and
+    the simulated time it was delivered."""
 
     mtype: MessageType
     sender: str
     receiver: str
-    fields: dict = field(default_factory=dict)
     timestamp: float = 0.0
 
     @property

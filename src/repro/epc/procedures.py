@@ -148,15 +148,13 @@ class EPCControlPlane:
         fab.open_channel("s5c", "GTPv2", [self.sgwc.name], [self.pgwc.name])
         fab.open_channel("gx", "Diameter", ["pcrf"], [self.pgwc.name])
         fab.open_channel("rx.mrs", "Diameter", ["mrs"], ["pcrf"])
-        for entity in (self.mme, self.sgwc, self.pgwc):
-            fab.register_handler(entity.name, entity.handle_message)
-        fab.register_handler("pcrf", self.pcrf.handle_message)
 
-    def register_enb(self, enb: "ENodeB") -> None:
+    def register_enb(self, enb_name: str) -> None:
         """Open the eNodeB's S1-MME association and its cell's shared
         RRC channel (UEs join the cell via :meth:`join_cell`)."""
-        self.register_enb_name(enb.name)
-        self.fabric.register_handler(enb.name, enb.handle_message)
+        self.fabric.open_channel(f"s1mme.{enb_name}", "SCTP",
+                                 [enb_name], [self.mme.name])
+        self.fabric.open_channel(f"rrc.{enb_name}", "RRC", [enb_name], [])
 
     def join_cell(self, ue_name: str, enb_name: str) -> None:
         """Put a UE on its serving cell's shared RRC channel.
@@ -167,13 +165,8 @@ class EPCControlPlane:
         """
         channel_id = f"rrc.{enb_name}"
         if channel_id not in self.fabric.channels:  # direct-use fallback
-            self.register_enb_name(enb_name)
+            self.register_enb(enb_name)
         self.fabric.add_party(channel_id, ue_name, side="b")
-
-    def register_enb_name(self, enb_name: str) -> None:
-        self.fabric.open_channel(f"s1mme.{enb_name}", "SCTP",
-                                 [enb_name], [self.mme.name])
-        self.fabric.open_channel(f"rrc.{enb_name}", "RRC", [enb_name], [])
 
     def add_site(self, site: GatewaySite) -> None:
         self.sgwc.add_site(site)
@@ -182,8 +175,9 @@ class EPCControlPlane:
         self.controller.register(site.pgw_u)
 
     def _hop(self, result: ProcedureResult, mtype: m.MessageType,
-             sender: str, receiver: str, **fields) -> Generator:
-        """Send one control message and suspend until delivery.
+             sender: str, receiver: str) -> Generator:
+        """Send one control message and suspend until delivery, counting
+        it in ``result``.
 
         The hop retransmits on timer expiry; exhausting the budget raises
         :class:`~repro.epc.signalling.SignallingTimeout` into the
@@ -192,9 +186,8 @@ class EPCControlPlane:
         """
         message = yield self.fabric.send_reliable(
             mtype, sender, receiver, policy=self.retry_policy,
-            telemetry=result, **fields)
+            telemetry=result)
         result.count_message(message)
-        return message
 
     def _begin(self, name: str, subject) -> ProcedureResult:
         result = ProcedureResult(name, started_at=self.sim.now,
@@ -371,7 +364,7 @@ class EPCControlPlane:
         yield from self._hop(result, m.RRC_CONNECTION_SETUP_COMPLETE,
                              ue.name, enb.name)
         yield from self._hop(result, m.ATTACH_INITIAL_UE_MESSAGE, enb.name,
-                             self.mme.name, imsi=ue.imsi)
+                             self.mme.name)
         yield from self._hop(result, m.CREATE_SESSION_REQUEST, self.mme.name,
                              self.sgwc.name)
         yield from self._hop(result, m.CREATE_SESSION_REQUEST, self.sgwc.name,
@@ -385,12 +378,10 @@ class EPCControlPlane:
                         imsi=ue.imsi, ue_ip=ue.ip, default=True)
         self._allocate_tunnel_endpoints(bearer, site, enb)
 
-        yield from self._hop(result, m.CREATE_SESSION_RESPONSE,
-                             self.pgwc.name, self.sgwc.name,
-                             pgw_fteid=str(bearer.pgw_fteid))
-        yield from self._hop(result, m.CREATE_SESSION_RESPONSE,
-                             self.sgwc.name, self.mme.name,
-                             sgw_fteid=str(bearer.sgw_s1_fteid))
+        yield from self._hop(result, m.CREATE_SESSION_RESPONSE, self.pgwc.name,
+                             self.sgwc.name)
+        yield from self._hop(result, m.CREATE_SESSION_RESPONSE, self.sgwc.name,
+                             self.mme.name)
         yield from self._hop(result, m.INITIAL_CONTEXT_SETUP_REQUEST,
                              self.mme.name, enb.name)
         yield from self._hop(result, m.RRC_CONNECTION_RECONFIGURATION,
@@ -399,8 +390,7 @@ class EPCControlPlane:
                              m.RRC_CONNECTION_RECONFIGURATION_COMPLETE,
                              ue.name, enb.name)
         yield from self._hop(result, m.INITIAL_CONTEXT_SETUP_RESPONSE,
-                             enb.name, self.mme.name,
-                             enb_fteid=str(bearer.enb_fteid))
+                             enb.name, self.mme.name)
         yield from self._hop(result, m.ATTACH_COMPLETE_UPLINK, enb.name,
                              self.mme.name)
         yield from self._hop(result, m.MODIFY_BEARER_REQUEST, self.mme.name,
@@ -464,13 +454,10 @@ class EPCControlPlane:
         result = self._begin("activate-dedicated-bearer", ue)
 
         # (1) Request + (2) Create: MRS -> PCRF -> PCEF in PGW-C
-        yield from self._hop(result, m.AA_REQUEST, requested_by, "pcrf",
-                             service=service_id, ue_ip=ue.ip,
-                             server_ip=server_ip)
+        yield from self._hop(result, m.AA_REQUEST, requested_by, "pcrf")
         rule = self.pcrf.generate_rule(service_id, ue.ip, server_ip,
                                        server_port)
-        yield from self._hop(result, m.RE_AUTH_REQUEST, "pcrf",
-                             self.pgwc.name, qci=rule.qci, service=service_id)
+        yield from self._hop(result, m.RE_AUTH_REQUEST, "pcrf", self.pgwc.name)
         self.pgwc.pcef_install(ue.imsi, rule)
         yield from self._hop(result, m.RE_AUTH_ANSWER, self.pgwc.name, "pcrf")
 
@@ -485,20 +472,18 @@ class EPCControlPlane:
         self._allocate_tunnel_endpoints(bearer, site, enb)
 
         yield from self._hop(result, m.CREATE_BEARER_REQUEST, self.pgwc.name,
-                             self.sgwc.name, pgw_fteid=str(bearer.pgw_fteid))
+                             self.sgwc.name)
         yield from self._hop(result, m.CREATE_BEARER_REQUEST, self.sgwc.name,
-                             self.mme.name,
-                             sgw_fteid=str(bearer.sgw_s1_fteid))
+                             self.mme.name)
         yield from self._hop(result, m.ERAB_SETUP_REQUEST, self.mme.name,
-                             enb.name, sgw_fteid=str(bearer.sgw_s1_fteid))
+                             enb.name)
         yield from self._hop(result, m.RRC_CONNECTION_RECONFIGURATION,
-                             enb.name, ue.name, ebi=bearer.ebi,
-                             qci=bearer.qci, tft_remote=server_ip)
+                             enb.name, ue.name)
         yield from self._hop(result,
                              m.RRC_CONNECTION_RECONFIGURATION_COMPLETE,
                              ue.name, enb.name)
         yield from self._hop(result, m.ERAB_SETUP_RESPONSE, enb.name,
-                             self.mme.name, enb_fteid=str(bearer.enb_fteid))
+                             self.mme.name)
         yield from self._hop(result, m.CREATE_BEARER_RESPONSE, self.mme.name,
                              self.sgwc.name)
         yield from self._hop(result, m.CREATE_BEARER_RESPONSE, self.sgwc.name,
@@ -733,7 +718,7 @@ class EPCControlPlane:
 
         # preparation over X2: target admits the UE and all its bearers
         yield from self._hop(result, m.X2_HANDOVER_REQUEST, source.name,
-                             target_enb.name, imsi=ue.imsi)
+                             target_enb.name)
         target_enb.register_ue(ue.ip, radio_port)
         active = [b for b in ue.bearers if b.active]
         for bearer in active:
@@ -746,7 +731,7 @@ class EPCControlPlane:
 
         # execution: the UE is commanded over and syncs to the target
         yield from self._hop(result, m.RRC_CONNECTION_RECONFIGURATION,
-                             source.name, ue.name, handover=True)
+                             source.name, ue.name)
         yield from self._hop(result, m.X2_SN_STATUS_TRANSFER, source.name,
                              target_enb.name)
         yield from self._hop(result,
@@ -832,11 +817,9 @@ class EPCControlPlane:
 
         # GW-C coordination: the anchor move is a bearer modification
         yield from self._hop(result, m.MODIFY_BEARER_REQUEST, self.mme.name,
-                             self.sgwc.name, imsi=ue.imsi, ebi=ebi,
-                             target_site=target_site_name)
+                             self.sgwc.name)
         yield from self._hop(result, m.MODIFY_BEARER_REQUEST, self.sgwc.name,
-                             self.pgwc.name, imsi=ue.imsi, ebi=ebi,
-                             target_site=target_site_name)
+                             self.pgwc.name)
 
         old_sgw_s1 = bearer.sgw_s1_fteid
         old_sgw_s5 = bearer.sgw_s5_fteid

@@ -13,29 +13,29 @@ dependent latency instead of a fixed per-hop constant:
   (every UE in the cell serialises its air-interface signalling on
   it), one S1-MME SCTP association per eNodeB, one S11 and one S5-C
   GTP-C path, Gx/Rx Diameter legs and one OpenFlow channel per
-  switch;
-* a :class:`ControlMessage` is stamped at *delivery* time, so its
-  timestamp is the time it actually arrived, and is then announced as
-  a :class:`~repro.epc.events.ControlMessageDelivered` event.  The
-  fabric keeps no archive of delivered messages: each procedure
-  counts its own per protocol (``ProcedureResult.by_protocol``), and
-  a listener that wants the sequence records it from the hook bus.
+  switch.
 
-:meth:`SignallingFabric.send` returns a
-:class:`~repro.sim.engine.Future` that resolves to the delivered
-message; procedure generators yield it to advance hop by hop.
+There is one delivery path.  :meth:`SignallingFabric.send_reliable`
+starts a *transfer*: one :class:`ControlMessage` (its type and its
+endpoints, nothing else) and a :class:`~repro.sim.engine.Future` that
+resolves to it.  Each *attempt* of the transfer is one packet,
+transmitted by :meth:`SignallingFabric.send`, with a per-protocol
+retransmission timer (see :class:`RetryPolicy`); expiry retransmits
+with exponential backoff, and exhausting the retry cap rejects the
+future with :class:`SignallingTimeout`, so the waiting procedure ends
+with a ``timeout`` outcome instead of deadlocking.  The first attempt
+to arrive stamps the message with its arrival time, announces it as a
+:class:`~repro.epc.events.ControlMessageDelivered` event, runs the
+sender's ``on_deliver`` (the SDN controller applies a flow-mod to its
+switch there) and resolves the future.  A later copy (a retransmission
+racing a delayed original) is counted as a duplicate and dropped,
+which is what makes retried SDN flow-mods idempotent.
 
-Reliability.  Signalling transports are lossless by default, but the
-fault layer (:mod:`repro.faults`) can perturb channels (probabilistic
-loss / delay spikes) and mark parties down.  :meth:`SignallingFabric.
-send_reliable` layers 3GPP-style retransmission on top of
-:meth:`~SignallingFabric.send`: each attempt arms a per-protocol timer
-(see :class:`RetryPolicy`), expiry retransmits with exponential
-backoff, and exhausting the retry cap rejects the returned future with
-:class:`SignallingTimeout` so the waiting procedure terminates with a
-``timeout`` outcome instead of deadlocking.  Duplicate deliveries
-(a retransmission racing a delayed original) are suppressed, which is
-what makes retried SDN flow-mods idempotent.
+The fault layer (:mod:`repro.faults`) perturbs channels (probabilistic
+loss / delay spikes) and marks parties down.  The fabric keeps no
+archive of delivered messages: each procedure counts its own per
+protocol (``ProcedureResult.by_protocol``), and a listener that wants
+the sequence records it from the hook bus.
 """
 
 from __future__ import annotations
@@ -222,7 +222,6 @@ class SignallingFabric:
         self.drops: dict[str, int] = {}
         self.down_parties: set[str] = set()
         self._routes: dict[tuple[str, str], tuple[SignallingChannel, str]] = {}
-        self._handlers: dict[str, Callable[[ControlMessage], None]] = {}
         self._perturbations: list[tuple[str, ChannelPerturbation]] = []
 
     # -- topology -----------------------------------------------------------
@@ -260,11 +259,6 @@ class SignallingFabric:
         for peer in channel.parties[other]:
             self._routes[(name, peer)] = (channel, side)
             self._routes[(peer, name)] = (channel, other)
-
-    def register_handler(self, party: str,
-                         fn: Callable[[ControlMessage], None]) -> None:
-        """Deliver every message addressed to ``party`` to ``fn`` too."""
-        self._handlers[party] = fn
 
     def _adhoc(self, protocol: str, sender: str,
                receiver: str) -> tuple[SignallingChannel, str]:
@@ -309,73 +303,58 @@ class SignallingFabric:
 
     # -- the data path ------------------------------------------------------
 
-    def send(self, mtype: MessageType, sender: str, receiver: str,
-             on_deliver: Optional[Callable[[ControlMessage], None]] = None,
-             _transfer: Optional["_ReliableTransfer"] = None,
-             **fields) -> Future:
-        """Transmit one control message; resolves at delivery.
-
-        The returned future's value is the delivered
-        :class:`ControlMessage`, timestamped with its arrival time.
-        ``on_deliver`` runs at delivery before the future resolves --
-        the SDN controller uses it to apply a flow-mod to the switch the
-        moment it arrives.
-
-        Plain ``send`` assumes lossless transports: if the fault layer
-        drops the message the future never resolves.  Use
-        :meth:`send_reliable` when the run may inject faults.
-        """
-        route = self._routes.get((sender, receiver))
+    def send(self, transfer: "_ReliableTransfer") -> None:
+        """Transmit one attempt of ``transfer`` as a packet on the
+        channel routing its sender to its receiver."""
+        message = transfer.message
+        route = self._routes.get((message.sender, message.receiver))
         if route is None:
-            route = self._adhoc(mtype.protocol, sender, receiver)
+            route = self._adhoc(message.protocol, message.sender,
+                                message.receiver)
         channel, side = route
-        message = ControlMessage(mtype, sender, receiver, fields)
-        future = Future(self.sim)
-        packet = Packet(src=sender, dst=receiver, size=mtype.size,
-                        protocol=mtype.protocol,
+        packet = Packet(src=message.sender, dst=message.receiver,
+                        size=message.size, protocol=message.protocol,
                         created_at=self.sim.now,
-                        meta={"message": message, "future": future,
-                              "on_deliver": on_deliver,
-                              "channel": channel,
-                              "sender_end": channel.ends[side],
-                              "transfer": _transfer})
+                        meta={"transfer": transfer, "channel": channel,
+                              "sender_end": channel.ends[side]})
         self.messages_sent += 1
         channel.ends[side].send("peer", packet)
-        return future
 
     def send_reliable(self, mtype: MessageType, sender: str, receiver: str,
                       policy: RetryPolicy,
                       on_deliver: Optional[Callable[[ControlMessage],
                                                     None]] = None,
-                      telemetry: Any = None, **fields) -> Future:
-        """Transmit with retransmission timers; always terminates.
+                      telemetry: Any = None) -> Future:
+        """Start a transfer of one control message; always terminates.
 
-        Resolves to the first delivered copy of the message; rejects
-        with :class:`SignallingTimeout` once ``policy.max_attempts``
-        transmissions have all timed out.  ``telemetry`` (typically a
+        Resolves to the delivered :class:`ControlMessage`, timestamped
+        with its arrival time; rejects with :class:`SignallingTimeout`
+        once ``policy.max_attempts`` transmissions have all timed out.
+        ``on_deliver`` runs at delivery before the future resolves.
+        ``telemetry`` (typically a
         :class:`~repro.epc.procedures.ProcedureResult`) accumulates
         ``retries`` / ``timer_expiries`` counts and rides along in the
         timeout exception.
         """
-        transfer = _ReliableTransfer(self, mtype, sender, receiver,
-                                     policy, on_deliver, telemetry, fields)
+        transfer = _ReliableTransfer(
+            self, ControlMessage(mtype, sender, receiver), policy,
+            on_deliver, telemetry)
         transfer.send_attempt()
         return transfer.future
 
-    def _drop(self, packet: Packet, channel: Optional[SignallingChannel],
+    def _drop(self, packet: Packet, channel: SignallingChannel,
               reason: str) -> None:
         self.drops[reason] = self.drops.get(reason, 0) + 1
         hooks = self.sim.hooks
         if hooks.has(PacketDropped):
             hooks.emit(PacketDropped(
-                link=channel.link if channel is not None else None,
-                packet=packet, sender=packet.meta.get("sender_end"),
-                reason=reason))
+                link=channel.link, packet=packet,
+                sender=packet.meta["sender_end"], reason=reason))
 
     def _deliver(self, packet: Packet) -> None:
-        channel: Optional[SignallingChannel] = packet.meta.get("channel")
-        if (channel is not None and channel.perturbations
-                and not packet.meta.get("perturbed")):
+        meta = packet.meta
+        channel: SignallingChannel = meta["channel"]
+        if channel.perturbations and not meta.get("perturbed"):
             for pert in channel.perturbations:
                 outcome = pert.draw()
                 if outcome == "drop":
@@ -384,56 +363,47 @@ class SignallingFabric:
                 if outcome == "delay":
                     # re-deliver once after the spike; flagged so the
                     # delayed copy is not perturbed again
-                    packet.meta["perturbed"] = True
+                    meta["perturbed"] = True
                     self.sim.post(pert.extra_delay, self._deliver, packet)
                     return
-        message: ControlMessage = packet.meta["message"]
+        transfer: _ReliableTransfer = meta["transfer"]
+        message = transfer.message
         if message.receiver in self.down_parties:
             self._drop(packet, channel, "entity-down")
             return
-        transfer: Optional[_ReliableTransfer] = packet.meta.get("transfer")
-        if transfer is not None and transfer.done:
+        if transfer.done:
             # a retransmission raced a delayed original: the logical
             # message was already processed exactly once
-            transfer.duplicates += 1
             self.duplicates += 1
             return
         message.timestamp = self.sim.now
         hooks = self.sim.hooks
         if hooks.has(ControlMessageDelivered):
             hooks.emit(ControlMessageDelivered(message))
-        handler = self._handlers.get(message.receiver)
-        if handler is not None:
-            handler(message)
-        on_deliver = packet.meta.get("on_deliver")
-        if on_deliver is not None:
-            on_deliver(message)
-        packet.meta["future"].resolve(message)
+        if transfer.on_deliver is not None:
+            transfer.on_deliver(message)
+        transfer.delivered()
 
 
 class _ReliableTransfer:
     """One logical message, delivered at most once over >= 1 attempts.
 
-    Each attempt is a fresh :meth:`SignallingFabric.send` plus a timer
+    Each attempt is one :meth:`SignallingFabric.send` plus a timer
     event; delivery of any copy cancels the pending timer and resolves
-    the outer future, expiry of the last allowed attempt rejects it.
+    the future, expiry of the last allowed attempt rejects it.
     """
 
-    def __init__(self, fabric: SignallingFabric, mtype: MessageType,
-                 sender: str, receiver: str, policy: RetryPolicy,
+    def __init__(self, fabric: SignallingFabric, message: ControlMessage,
+                 policy: RetryPolicy,
                  on_deliver: Optional[Callable[[ControlMessage], None]],
-                 telemetry: Any, fields: dict) -> None:
+                 telemetry: Any) -> None:
         self.fabric = fabric
-        self.mtype = mtype
-        self.sender = sender
-        self.receiver = receiver
+        self.message = message
         self.policy = policy
         self.on_deliver = on_deliver
         self.telemetry = telemetry
-        self.fields = fields
         self.future = Future(fabric.sim)
         self.attempts = 0
-        self.duplicates = 0
         self.done = False
         self._timer = None
 
@@ -443,24 +413,20 @@ class _ReliableTransfer:
             self.fabric.retransmissions += 1
             if self.telemetry is not None:
                 self.telemetry.retries += 1
-        attempt = self.fabric.send(self.mtype, self.sender, self.receiver,
-                                   on_deliver=self.on_deliver,
-                                   _transfer=self, **self.fields)
-        attempt.add_done_callback(self._delivered)
-        timeout = (self.policy.timer_for(self.mtype.protocol)
+        self.fabric.send(self)
+        timeout = (self.policy.timer_for(self.message.protocol)
                    * self.policy.backoff ** (self.attempts - 1))
         self._timer = self.fabric.sim.schedule(timeout, self._expired)
 
-    def _delivered(self, attempt: Future) -> None:
-        if self.done:
-            return
+    def delivered(self) -> None:
+        """The first copy arrived: stop the timer, resolve the future."""
         self.done = True
         if self._timer is not None:
             self._timer.cancel()
             # the timer's callback is our bound method: drop the spent
             # timer so no transfer <-> event cycle outlives delivery
             self._timer = None
-        self.future.resolve(attempt.value)
+        self.future.resolve(self.message)
 
     def _expired(self) -> None:
         self._timer = None      # spent: break the transfer <-> event cycle
@@ -470,8 +436,9 @@ class _ReliableTransfer:
             self.telemetry.timer_expiries += 1
         if self.attempts >= self.policy.max_attempts:
             self.done = True
+            message = self.message
             self.future.reject(SignallingTimeout(
-                self.mtype, self.sender, self.receiver, self.attempts,
-                result=self.telemetry))
+                message.mtype, message.sender, message.receiver,
+                self.attempts, result=self.telemetry))
         else:
             self.send_attempt()

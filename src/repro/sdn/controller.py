@@ -69,7 +69,6 @@ class SdnController:
                                   [self.name], [switch.name])
 
     def install_rule(self, switch_name: str, rule: FlowRule,
-                     size: int = _FLOW_MOD_ADD_SIZE,
                      telemetry: Any = None) -> "Future":
         """Add a flow rule (one OpenFlow flow-mod message).
 
@@ -80,7 +79,8 @@ class SdnController:
         counts (typically the owning procedure's result).
         """
         switch = self._switch(switch_name)
-        mtype = MessageType("OpenFlow", f"FlowMod(add,{switch.name})", size)
+        mtype = MessageType("OpenFlow", f"FlowMod(add,{switch.name})",
+                            _FLOW_MOD_ADD_SIZE)
 
         def apply(message: ControlMessage) -> None:
             switch.install(rule)
@@ -89,11 +89,9 @@ class SdnController:
         return self._fabric.send_reliable(mtype, self.name, switch.name,
                                           policy=self.retry_policy,
                                           on_deliver=apply,
-                                          telemetry=telemetry,
-                                          detail=rule.match.describe())
+                                          telemetry=telemetry)
 
     def remove_rules(self, switch_name: str, cookie: str,
-                     size: int = _FLOW_MOD_DELETE_SIZE,
                      telemetry: Any = None) -> "Future":
         """Delete all rules carrying a cookie (one flow-mod message).
 
@@ -103,7 +101,7 @@ class SdnController:
         """
         switch = self._switch(switch_name)
         mtype = MessageType("OpenFlow", f"FlowMod(delete,{switch.name})",
-                            size)
+                            _FLOW_MOD_DELETE_SIZE)
 
         def apply(message: ControlMessage) -> None:
             switch.remove(cookie)
@@ -112,8 +110,7 @@ class SdnController:
         return self._fabric.send_reliable(mtype, self.name, switch.name,
                                           policy=self.retry_policy,
                                           on_deliver=apply,
-                                          telemetry=telemetry,
-                                          detail=f"cookie={cookie}")
+                                          telemetry=telemetry)
 
     def apply_batch(self, ops: list[tuple], telemetry: Any = None) -> list:
         """Issue several flow-mods concurrently (one transaction).

@@ -99,11 +99,6 @@ class SimContext:
         """Streams materialised so far (diagnostics / provenance)."""
         return tuple(sorted(self._streams))
 
-    def child(self, name: str) -> "SimContext":
-        """A fresh context (own clock, bus and streams) whose root seed
-        is derived from this context's seed and ``name``."""
-        return SimContext(derive_seed(self.seed, name))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SimContext seed={self.seed} t={self.sim.now:.6f} "
                 f"streams={len(self._streams)}>")

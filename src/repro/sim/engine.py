@@ -62,7 +62,7 @@ import itertools
 import sys
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.hooks import HookBus
 
@@ -617,8 +617,3 @@ class Simulator:
             "cancelled_discarded": self._discarded,
             "compactions": self._compactions,
         }
-
-    def drain(self, events: Iterable[Event]) -> None:
-        """Cancel a collection of events."""
-        for event in events:
-            event.cancel()

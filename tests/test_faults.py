@@ -206,14 +206,19 @@ class TestSignallingUnderLoss:
             message = yield fabric.send_reliable(
                 mtype, "mme", "sgw-c", policy=policy,
                 on_deliver=delivered.append)
-            return message
+            return message, sim.now
 
-        sim.run_until_complete(sim.spawn(proc()))
+        message, resolved_at = sim.run_until_complete(sim.spawn(proc()))
         sim.run()            # drain the retry's still-in-flight delivery
+        assert sim.now > resolved_at         # the duplicate arrived later
         assert fabric.retransmissions == 1
         assert fabric.duplicates == 1
         assert len(delivered) == 1           # exactly-once side effects
         assert len(recorder) == 1            # duplicate never delivered
+        # one message object throughout, stamped once at first arrival
+        assert recorder.messages[0] is message
+        assert delivered[0] is message
+        assert message.timestamp == resolved_at
 
 
 class _always:

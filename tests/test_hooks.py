@@ -331,14 +331,6 @@ def test_derive_seed_is_stable_and_component_sensitive():
     assert 0 <= derive_seed("exp") < 2 ** 63
 
 
-def test_child_context_derives_its_own_seed():
-    ctx = SimContext(seed=7)
-    child = ctx.child("replica")
-    assert child.seed == derive_seed(7, "replica")
-    assert child.sim is not ctx.sim
-    assert child.hooks is not ctx.hooks
-
-
 def test_context_owns_clock_and_bus():
     ctx = SimContext(seed=0)
     fired = []

@@ -8,7 +8,7 @@ from repro.core.network import MobileNetwork
 from repro.epc.entities import ServicePolicy
 from repro.epc.events import (ProcedureCompleted, ProcedureStarted,
                               UeIpAssigned)
-from repro.epc.signalling import SignallingFabric
+from repro.epc.signalling import RetryPolicy, SignallingFabric
 from repro.epc.messages import MessageType
 from repro.sim.engine import SimulationError, Simulator
 from tests.recording import MessageRecorder
@@ -28,12 +28,14 @@ def test_send_resolves_with_delivered_message():
     mtype = MessageType("SCTP", "Probe", 164)
 
     def proc():
-        message = yield fabric.send(mtype, "enb0", "mme", imsi="001")
+        message = yield fabric.send_reliable(mtype, "enb0", "mme",
+                                             policy=RetryPolicy())
         return message
 
     message = sim.run_until_complete(sim.spawn(proc()))
     assert message.timestamp == sim.now > 0.0
-    assert message.fields["imsi"] == "001"
+    assert (message.mtype, message.sender, message.receiver) == (
+        mtype, "enb0", "mme")
     assert len(recorder) == 1
     assert recorder.messages[0] is message
 
@@ -44,7 +46,8 @@ def test_unknown_pair_gets_adhoc_channel():
     mtype = MessageType("X2AP", "HandoverRequest", 96)
 
     def proc():
-        yield fabric.send(mtype, "enb0", "enb1")
+        yield fabric.send_reliable(mtype, "enb0", "enb1",
+                                   policy=RetryPolicy())
 
     sim.run_until_complete(sim.spawn(proc()))
     assert "adhoc.X2AP.enb0.enb1" in fabric.channels
@@ -181,15 +184,19 @@ def test_procedure_phase_events_emitted():
 
 
 def test_entities_count_delivered_messages():
+    """An attach plus one dedicated-bearer activation delivers control
+    messages to each of MME, SGW-C, PGW-C, PCRF and the eNodeB."""
     network = build()
     recorder = MessageRecorder(network.hooks)
-    network.add_ue()
-    assert network.mme.messages_received > 0
-    assert network.sgwc.messages_received > 0
-    assert network.pgwc.messages_received > 0
-    assert network.enb.messages_received > 0
-    assert network.mme.messages_received == sum(
-        m.receiver == network.mme.name for m in recorder.messages)
+    network.add_mec_site("mec")
+    network.add_server("ci", site_name="mec")
+    network.pcrf.configure(ServicePolicy(service_id="svc", qci=3))
+    ue = network.add_ue()
+    network.control_plane.activate_dedicated_bearer(
+        ue, "svc", network.servers["ci"].ip, "mec")
+    receivers = {m.receiver for m in recorder.messages}
+    assert {network.mme.name, network.sgwc.name, network.pgwc.name,
+            "pcrf", network.enb.name} <= receivers
 
 
 def test_signalling_config_is_threaded():

@@ -8,7 +8,6 @@ from repro.epc.messages import (REESTABLISH_SEQUENCE, RELEASE_SEQUENCE,
                                 ControlMessage)
 from repro.epc.overhead import combined_by_protocol
 from repro.epc.procedures import ProcedureResult
-from repro.sim.engine import Simulator
 from repro.sim.monitor import FlowStats
 from repro.sim.packet import Packet
 
@@ -38,11 +37,10 @@ class TestMessageRegistry:
         assert total == 2914
 
     def test_control_message_wraps_type(self):
-        msg = ControlMessage(m.CREATE_BEARER_REQUEST, "a", "b",
-                             {"k": 1})
+        msg = ControlMessage(m.CREATE_BEARER_REQUEST, "a", "b")
         assert msg.protocol == "GTPv2"
+        assert msg.name == m.CREATE_BEARER_REQUEST.name
         assert msg.size == m.CREATE_BEARER_REQUEST.size
-        assert msg.fields["k"] == 1
 
 
 class TestProtocolCounters:
@@ -99,12 +97,3 @@ class TestNetworkConfig:
         assert 2 * cloud > 0.06
         assert 2 * mec < 0.015
 
-
-class TestEngineDrain:
-    def test_drain_cancels_collection(self):
-        sim = Simulator()
-        fired = []
-        events = [sim.schedule(1.0, fired.append, i) for i in range(5)]
-        sim.drain(events[1:4])
-        sim.run()
-        assert fired == [0, 4]
