@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint perfbench-selftest bench bench-resilience examples quick exp-smoke scenario-validate reachability all clean-results
+.PHONY: test lint perfbench-selftest bench bench-resilience examples quick exp-smoke scenario-validate reachability importtime all clean-results
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
@@ -26,6 +26,9 @@ scenario-validate:   ## validate the whole scenario catalogue, then run the CI s
 
 reachability:   ## functions in src/repro that no shipped run reaches (16-18 min on 2 CPUs)
 	$(PYTHON) tools/reachability.py
+
+importtime:   ## import time of perfbench's module list in fresh interpreters, top self times
+	$(PYTHON) tools/importtime.py
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q

@@ -5,6 +5,8 @@ a retail store equips sales staff with LTE-direct publishers; customers
 subscribe to their interests, get notified near the matching section,
 and an AR session streams camera frames to a CI server on the mobile
 edge cloud which matches them against a geo-tagged object database.
+The split-rendering VR client (:mod:`repro.apps.vr`) is imported by
+module name.
 """
 
 from repro.apps.ar_backend import ARBackend, ARResponse, ARServerNode
@@ -14,7 +16,6 @@ from repro.apps.retail import (RetailCustomerApp, RetailStore,
                                build_retail_database)
 from repro.apps.scenario import (Checkpoint, StoreScenario, WalkPath,
                                  store_scenario)
-from repro.apps.vr import VRClient, VRRenderServer
 from repro.apps.workload import CheckpointWorkload
 
 __all__ = [
@@ -30,8 +31,6 @@ __all__ = [
     "RetailCustomerApp",
     "RetailStore",
     "StoreScenario",
-    "VRClient",
-    "VRRenderServer",
     "WalkPath",
     "build_retail_database",
     "store_scenario",

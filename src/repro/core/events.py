@@ -7,11 +7,10 @@ session later returns to a healthy dedicated path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SessionDegraded:
+class SessionDegraded(NamedTuple):
     """A session lost its CI server instance to a fault.
 
     ``mode`` is ``"relocated"`` (moved to a surviving instance on
@@ -26,8 +25,7 @@ class SessionDegraded:
     time: float
 
 
-@dataclass(frozen=True)
-class SessionRestored:
+class SessionRestored(NamedTuple):
     """A degraded session got a healthy dedicated MEC path back."""
 
     imsi: str
@@ -35,8 +33,7 @@ class SessionRestored:
     time: float
 
 
-@dataclass(frozen=True)
-class SessionRelocating:
+class SessionRelocating(NamedTuple):
     """A CI session started moving to another edge site.
 
     Emitted by the MRS when a handover carries the UE across a site
@@ -54,8 +51,7 @@ class SessionRelocating:
     time: float
 
 
-@dataclass(frozen=True)
-class SessionRelocated:
+class SessionRelocated(NamedTuple):
     """A CI session finished moving to another edge site.
 
     ``interruption`` is the measured CI-session interruption in

@@ -36,7 +36,6 @@ from repro.sim.fluid import FluidDomain, FluidFlow, FluidLink
 from repro.sim.link import Link
 from repro.sim.node import Node, PacketSink
 from repro.sim.packet import Packet
-from repro.sim.traffic import PoissonSource
 
 
 def wan_link_name(site_a: str, site_b: str) -> str:
@@ -523,6 +522,7 @@ class MobileNetwork:
         if self.fluid is not None:
             return self._add_fluid_background(rate, site, sink,
                                               site_name, sink_server, index)
+        from repro.sim.traffic import PoissonSource
         cookie = f"bg:{index}"
         source = PoissonSource(self.sim, f"bg{index}", dst=sink.ip,
                                rate=rate, ctx=self.ctx,

@@ -9,12 +9,12 @@ class its dedicated bearers get.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.epc.qos import MEC_BEARER_QCI, qos_for
 
 
-@dataclass(frozen=True)
-class CIServerInstance:
+class CIServerInstance(NamedTuple):
     """One deployment of a CI server on an edge cloud site."""
 
     server_name: str        # node name in the MobileNetwork

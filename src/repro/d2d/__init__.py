@@ -8,27 +8,21 @@ code-and-mask expressions, and only matching messages (annotated with
 received power and SNR) are handed up to applications.  A log-distance
 path-loss radio model produces the rxPower/SNR statistics that drive
 the localisation results of Figures 6 and 9.
+
+The comparison with other proximity technologies
+(:mod:`repro.d2d.beacons`) is imported by module name.
 """
 
-from repro.d2d.beacons import (IBEACON, LTE_DIRECT, WIFI_AWARE,
-                               BeaconScanner, ProximityTechnology)
 from repro.d2d.channel import D2DChannel, Publisher, Subscriber
 from repro.d2d.expressions import (ExpressionCode, ExpressionFilter,
                                    ExpressionNamespace)
 from repro.d2d.messages import DiscoveryMessage, Observation
 from repro.d2d.modem import LteDirectModem
 from repro.d2d.radio import RadioModel
-from repro.d2d.resources import DiscoveryResourceConfig
 
 __all__ = [
-    "BeaconScanner",
     "D2DChannel",
-    "IBEACON",
-    "LTE_DIRECT",
-    "ProximityTechnology",
-    "WIFI_AWARE",
     "DiscoveryMessage",
-    "DiscoveryResourceConfig",
     "ExpressionCode",
     "ExpressionFilter",
     "ExpressionNamespace",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Total expression width in bits.
 CODE_BITS = 192
@@ -54,8 +55,7 @@ class ExpressionCode:
         return f"0x{self.value:048x}"
 
 
-@dataclass(frozen=True)
-class ExpressionFilter:
+class ExpressionFilter(NamedTuple):
     """A modem filter: ``incoming & mask == code & mask``."""
 
     code: int

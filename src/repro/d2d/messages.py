@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.d2d.expressions import ExpressionCode
 
@@ -32,8 +33,7 @@ class DiscoveryMessage:
                 f"payload exceeds {MAX_PAYLOAD_BYTES} bytes: {self.payload!r}")
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """A received discovery message annotated with radio measurements.
 
     This is what the modem hands to the application on a filter match:

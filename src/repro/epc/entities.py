@@ -185,10 +185,6 @@ class GatewaySite:
     pgw_teids: TeidAllocator = field(
         default_factory=lambda: TeidAllocator(start=0x8000))
 
-    @property
-    def is_central(self) -> bool:
-        return self.name == "central"
-
     def enb_port(self, enb_name: str) -> str:
         try:
             return self.enb_ports[enb_name]

@@ -1,16 +1,16 @@
 """Typed control- and data-plane events published on the hook bus.
 
-Every EPC procedure announces its outcome as a frozen dataclass on
-``sim.hooks`` (see :mod:`repro.sim.hooks`).  Probes, pagers and
-application sessions subscribe to these instead of rebinding each
-other's methods, which keeps observation composable: any number of
-listeners can watch the same UE without a hand-rolled handler chain.
+Every EPC procedure announces its outcome as an immutable
+``NamedTuple`` record on ``sim.hooks`` (see :mod:`repro.sim.hooks`).
+Probes, pagers and application sessions subscribe to these instead of
+rebinding each other's methods, which keeps observation composable:
+any number of listeners can watch the same UE without a hand-rolled
+handler chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.epc.bearer import Bearer
@@ -20,8 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.packet import Packet
 
 
-@dataclass(frozen=True)
-class ProcedureStarted:
+class ProcedureStarted(NamedTuple):
     """A signalling procedure began executing as a simulator process.
 
     ``subject`` is the UE (or other principal) the procedure acts on;
@@ -35,8 +34,7 @@ class ProcedureStarted:
     time: float
 
 
-@dataclass(frozen=True)
-class ProcedureCompleted:
+class ProcedureCompleted(NamedTuple):
     """A signalling procedure finished; ``result`` carries its
     per-protocol message and byte counters and its measured elapsed
     simulated time."""
@@ -46,8 +44,7 @@ class ProcedureCompleted:
     result: Any
 
 
-@dataclass(frozen=True)
-class ControlMessageDelivered:
+class ControlMessageDelivered(NamedTuple):
     """A control message reached its receiver over the signalling fabric.
 
     Emitted once per logical message (a suppressed duplicate is not
@@ -57,11 +54,10 @@ class ControlMessageDelivered:
     records it.
     """
 
-    message: "ControlMessage"
+    message: ControlMessage
 
 
-@dataclass(frozen=True)
-class UeIpAssigned:
+class UeIpAssigned(NamedTuple):
     """A PGW-C allocated an IP for a UE during attach.
 
     Emitted *before* bearer/tunnel setup so subscribers (e.g. the
@@ -70,74 +66,67 @@ class UeIpAssigned:
     so each pending attach subscribes for its own UE only.
     """
 
-    hook_key: ClassVar[str] = "ue"
+    hook_key = "ue"
 
-    ue: "UEDevice"
+    ue: UEDevice
     address: str
 
 
-@dataclass(frozen=True)
-class UeAttached:
+class UeAttached(NamedTuple):
     """The attach procedure completed; default bearer is active."""
 
-    ue: "UEDevice"
-    enb: "ENodeB"
+    ue: UEDevice
+    enb: ENodeB
     result: Any
 
 
-@dataclass(frozen=True)
-class BearerActivated:
+class BearerActivated(NamedTuple):
     """A dedicated bearer finished activating."""
 
-    ue: "UEDevice"
-    bearer: "Bearer"
+    ue: UEDevice
+    bearer: Bearer
     result: Any
 
 
-@dataclass(frozen=True)
-class BearerDeactivated:
+class BearerDeactivated(NamedTuple):
     """A dedicated bearer was torn down."""
 
-    ue: "UEDevice"
+    ue: UEDevice
     ebi: int
     result: Any
 
 
-@dataclass(frozen=True)
-class HandoverCompleted:
+class HandoverCompleted(NamedTuple):
     """X2 handover finished; the UE is served by ``target``."""
 
-    ue: "UEDevice"
-    source: "ENodeB"
-    target: "ENodeB"
+    ue: UEDevice
+    source: ENodeB
+    target: ENodeB
     result: Any
 
 
-@dataclass(frozen=True)
-class UeReleasedToIdle:
+class UeReleasedToIdle(NamedTuple):
     """The UE's RRC connection was released (S1 release)."""
 
-    ue: "UEDevice"
+    ue: UEDevice
     result: Any
 
 
-@dataclass(frozen=True)
-class ServiceRequestCompleted:
+class ServiceRequestCompleted(NamedTuple):
     """An idle UE re-established its radio connection."""
 
-    ue: "UEDevice"
+    ue: UEDevice
     result: Any
 
 
-@dataclass(frozen=True)
-class DownlinkDelivered:
+class DownlinkDelivered(NamedTuple):
     """A packet reached a UE over the radio interface.
 
     Keyed by ``ue``: per-UE listeners subscribe with ``key=ue`` and see
     only their own UE's downlink.
     """
 
-    hook_key: ClassVar[str] = "ue"
+    hook_key = "ue"
 
-    ue: "UEDevice"
-    packet: "Packet"
+    ue: UEDevice
+    packet: Packet

@@ -12,10 +12,10 @@ sizes taken from typical captures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MessageType:
+class MessageType(NamedTuple):
     """A control message type: transport protocol, name and wire size."""
 
     protocol: str   # "SCTP" (S1AP over SCTP), "GTPv2", "OpenFlow", "Diameter", "RRC"

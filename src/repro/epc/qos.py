@@ -7,11 +7,10 @@ scheduler on simulated links (Figure 10(a) measures RTT per QCI).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class QosClass:
+class QosClass(NamedTuple):
     """One row of the standardised QCI table."""
 
     qci: int

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
+                    Optional)
 
 from repro.epc.events import ControlMessageDelivered
 from repro.epc.messages import ControlMessage, MessageType
@@ -56,8 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(NamedTuple):
     """Transport parameters for one signalling channel.
 
     ``delay`` is the one-way propagation delay (seconds), ``bandwidth``

@@ -6,10 +6,10 @@ axes to cross; :class:`ExperimentRunner` fans the resulting trials out
 over worker processes (or runs them serially -- the results are
 byte-identical either way) and collects structured JSON with per-trial
 provenance.  Preset specs for the paper's figures live in
-:mod:`repro.exp.presets`.
+:mod:`repro.exp.presets`; ``PRESETS`` and ``preset`` are loaded from it
+on first use, because building them compiles the whole catalogue.
 """
 
-from repro.exp.presets import PRESETS, preset
 from repro.exp.runner import (ExperimentResult, ExperimentRunner,
                               TrialResult, run_trial)
 from repro.exp.spec import ExperimentSpec, TrialSpec
@@ -27,3 +27,10 @@ __all__ = [
     "run_trial",
     "workload",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("PRESETS", "preset"):
+        from repro.exp import presets
+        return getattr(presets, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

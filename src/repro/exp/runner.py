@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import gc
 import json
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -52,6 +51,7 @@ def run_trial(trial: TrialSpec) -> TrialResult:
         metrics = workloads.get(trial.workload)(trial)
         return TrialResult(trial=trial, status="ok", metrics=metrics)
     except Exception:
+        import traceback    # only a failed trial needs it
         return TrialResult(trial=trial, status="error",
                            error=traceback.format_exc())
 

@@ -6,12 +6,10 @@ subscribe without pulling the injector machinery in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class FaultInjected:
+class FaultInjected(NamedTuple):
     """A fault just became active.  ``spec`` is the originating
     :class:`~repro.faults.plan.FaultSpec`."""
 
@@ -19,8 +17,7 @@ class FaultInjected:
     time: float
 
 
-@dataclass(frozen=True)
-class FaultCleared:
+class FaultCleared(NamedTuple):
     """A previously injected fault was disarmed / recovered."""
 
     spec: Any

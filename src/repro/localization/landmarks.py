@@ -8,14 +8,12 @@ held in memory: every run builds it from the store scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.localization.pathloss import PathLossRegression
 
 
-@dataclass(frozen=True)
-class Landmark:
+class Landmark(NamedTuple):
     """One publisher device at a known position."""
 
     name: str

@@ -53,12 +53,6 @@ class PathLossRegression:
         distance = 10 ** ((rx_power - self.alpha) / self.beta)
         return float(np.clip(distance, 0.01, max_distance))
 
-    def residual_std(self, distances: np.ndarray,
-                     rx_powers: np.ndarray) -> float:
-        """Std-dev of fit residuals (dB) -- the shadowing estimate."""
-        predicted = np.array([self.predict_rx_power(d) for d in distances])
-        return float(np.std(np.asarray(rx_powers, dtype=float) - predicted))
-
 
 def calibrate_from_radio(radio, rng: np.random.Generator,
                          distances: np.ndarray | None = None,

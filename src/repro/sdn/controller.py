@@ -44,6 +44,9 @@ class SdnController:
         #: suppresses duplicate deliveries, so a rule is applied to the
         #: switch exactly once.
         self.retry_policy: Optional["RetryPolicy"] = None
+        #: switch name -> its (add, delete) flow-mod message types,
+        #: built when the switch's channel opens
+        self._flow_mod_types: dict[str, tuple[MessageType, MessageType]] = {}
 
     def bind_fabric(self, fabric: "SignallingFabric",
                     retry_policy: "RetryPolicy") -> None:
@@ -67,6 +70,11 @@ class SdnController:
     def _open_channel(self, switch: FlowSwitch) -> None:
         self._fabric.open_channel(f"of.{switch.name}", "OpenFlow",
                                   [self.name], [switch.name])
+        self._flow_mod_types[switch.name] = (
+            MessageType("OpenFlow", f"FlowMod(add,{switch.name})",
+                        _FLOW_MOD_ADD_SIZE),
+            MessageType("OpenFlow", f"FlowMod(delete,{switch.name})",
+                        _FLOW_MOD_DELETE_SIZE))
 
     def install_rule(self, switch_name: str, rule: FlowRule,
                      telemetry: Any = None) -> "Future":
@@ -79,8 +87,7 @@ class SdnController:
         counts (typically the owning procedure's result).
         """
         switch = self._switch(switch_name)
-        mtype = MessageType("OpenFlow", f"FlowMod(add,{switch.name})",
-                            _FLOW_MOD_ADD_SIZE)
+        mtype = self._flow_mod_types[switch_name][0]
 
         def apply(message: ControlMessage) -> None:
             switch.install(rule)
@@ -100,8 +107,7 @@ class SdnController:
         :meth:`install_rule`.
         """
         switch = self._switch(switch_name)
-        mtype = MessageType("OpenFlow", f"FlowMod(delete,{switch.name})",
-                            _FLOW_MOD_DELETE_SIZE)
+        mtype = self._flow_mod_types[switch_name][1]
 
         def apply(message: ControlMessage) -> None:
             switch.remove(cookie)

@@ -8,8 +8,7 @@ each gateway, so several observers can watch the same switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sdn.openflow import FlowRule
@@ -17,26 +16,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.packet import Packet
 
 
-@dataclass(frozen=True)
-class FlowRuleInstalled:
+class FlowRuleInstalled(NamedTuple):
     """A rule was added to a switch's table."""
 
-    switch: "FlowSwitch"
-    rule: "FlowRule"
+    switch: FlowSwitch
+    rule: FlowRule
 
 
-@dataclass(frozen=True)
-class FlowRuleRemoved:
+class FlowRuleRemoved(NamedTuple):
     """Rules matching a cookie were removed from a switch's table."""
 
-    switch: "FlowSwitch"
+    switch: FlowSwitch
     cookie: str
     count: int
 
 
-@dataclass(frozen=True)
-class TableMiss:
+class TableMiss(NamedTuple):
     """A packet matched no rule and was dropped by the switch."""
 
-    switch: "FlowSwitch"
-    packet: "Packet"
+    switch: FlowSwitch
+    packet: Packet

@@ -9,7 +9,7 @@ output to a logical port.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.epc.gtp import gtp_decapsulate, gtp_encapsulate, gtp_teid
@@ -47,15 +47,6 @@ class FlowMatch:
         if self.dst_port is not None and packet.dst_port != self.dst_port:
             return False
         return True
-
-    def describe(self) -> str:
-        parts = []
-        for name in ("teid", "src_ip", "dst_ip", "protocol",
-                     "src_port", "dst_port"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}={value}")
-        return ",".join(parts) or "any"
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ order, with optional generator-based processes on top.  All
 randomness is injected through :class:`numpy.random.Generator`
 instances so every experiment in the repository is reproducible from a
 seed.
+
+The package re-exports the engine and the data path only.  Traffic
+generators (:mod:`repro.sim.traffic`), probes (:mod:`repro.sim.monitor`),
+TCP (:mod:`repro.sim.tcp`) and the WAN models (:mod:`repro.sim.wan`)
+are imported by module name, so a run that uses none of them does not
+load them.
 """
 
 from repro.sim.context import SimContext, derive_seed
@@ -19,39 +25,25 @@ from repro.sim.fluid import FluidDomain, FluidFlow, FluidLink, FluidQueue
 from repro.sim.hooks import (HookBus, PacketDelivered, PacketDropped,
                              Subscription)
 from repro.sim.link import Link
-from repro.sim.monitor import FlowStats, LatencyProbe, ThroughputMeter
 from repro.sim.node import Node, PacketSink
 from repro.sim.packet import Packet
-from repro.sim.tcp import TcpSink, TcpSource
-from repro.sim.traffic import CBRSource, GreedySource, PoissonSource
-from repro.sim.wan import LTE_WAN_PROFILES, WANProfile
 
 __all__ = [
-    "CBRSource",
     "Event",
-    "FlowStats",
     "FluidDomain",
     "FluidFlow",
     "FluidLink",
     "FluidQueue",
-    "GreedySource",
     "HookBus",
-    "LatencyProbe",
     "Link",
-    "LTE_WAN_PROFILES",
     "Node",
     "Packet",
     "PacketDelivered",
     "PacketDropped",
     "PacketSink",
-    "PoissonSource",
     "Process",
     "SimContext",
     "Simulator",
     "Subscription",
-    "TcpSink",
-    "TcpSource",
-    "ThroughputMeter",
-    "WANProfile",
     "derive_seed",
 ]

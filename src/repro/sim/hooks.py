@@ -4,8 +4,9 @@ Cross-layer instrumentation used to be wired by rebinding methods at
 runtime (``ue.on_downlink = probe`` and friends), which made probes
 impossible to stack or remove and left dangling state behind.  The
 :class:`HookBus` replaces that with typed publish/subscribe: layers
-*emit* small frozen event dataclasses and any number of subscribers
-*observe* them, each holding a :class:`Subscription` it can ``close()``.
+*emit* small immutable event records (``typing.NamedTuple`` classes)
+and any number of subscribers *observe* them, each holding a
+:class:`Subscription` it can ``close()``.
 
 Design rules:
 
@@ -14,9 +15,9 @@ Design rules:
   with :meth:`HookBus.has` to skip even the event construction);
 * a subscription may be **keyed**: ``bus.on(DownlinkDelivered, fn,
   key=ue)`` only sees events whose key field (named by the event
-  type's ``hook_key`` class attribute) is ``ue``, found with one more
-  dict lookup -- so a thousand per-UE listeners cost an emit one call,
-  not a thousand;
+  type's ``hook_key``, an unannotated class attribute so that it is
+  not a field) is ``ue``, found with one more dict lookup -- so a
+  thousand per-UE listeners cost an emit one call, not a thousand;
 * handlers run synchronously, in subscription order, on the emitter's
   stack -- the bus adds no scheduling of its own.  Keyed and unkeyed
   handlers of one event are served merged, in subscription order;
@@ -38,9 +39,9 @@ the same bus -- the bus is type-agnostic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Type
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, NamedTuple,
+                    Optional, Type)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.link import Link
@@ -219,17 +220,15 @@ class HookBus:
 
 # -- sim-layer events ------------------------------------------------------
 
-@dataclass(frozen=True)
-class PacketDelivered:
+class PacketDelivered(NamedTuple):
     """A packet reached a terminal sink (:class:`~repro.sim.node.PacketSink`)."""
 
-    node: "Node"
-    packet: "Packet"
-    link: Optional["Link"]
+    node: Node
+    packet: Packet
+    link: Optional[Link]
 
 
-@dataclass(frozen=True)
-class PacketDropped:
+class PacketDropped(NamedTuple):
     """A packet was dropped somewhere in the simulated world.
 
     ``reason`` distinguishes the cause on the bus:
@@ -244,7 +243,7 @@ class PacketDropped:
     when the drop happened before any channel was involved).
     """
 
-    link: Optional["Link"]
-    packet: "Packet"
-    sender: Optional["Node"]
+    link: Optional[Link]
+    packet: Packet
+    sender: Optional[Node]
     reason: str

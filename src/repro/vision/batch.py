@@ -54,7 +54,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -83,8 +83,7 @@ _PAD_SENTINEL = np.float32(-2.0)
 _model_name = attrgetter("name")
 
 
-@dataclass(frozen=True)
-class CandidateStack:
+class CandidateStack(NamedTuple):
     """An immutable stacked view of one candidate set.
 
     Objects are stacked in sorted-name order (the canonical order), so

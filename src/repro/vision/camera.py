@@ -7,11 +7,10 @@ resolutions falling to 10 FPS at full HD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Resolution:
+class Resolution(NamedTuple):
     """A capture resolution."""
 
     width: int

@@ -17,7 +17,7 @@ Section 7.3 ratios, ~0.5 the Figure 3(f) frame sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.vision.camera import Resolution
 
@@ -44,8 +44,7 @@ _ENCODE_COST_FIXED = 0.005
 _DECODE_COST_PER_PIXEL = 5e-9
 
 
-@dataclass(frozen=True)
-class CompressionModel:
+class CompressionModel(NamedTuple):
     """One codec configuration."""
 
     name: str

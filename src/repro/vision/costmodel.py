@@ -21,7 +21,7 @@ Model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.vision.camera import R320x240, Resolution
 from repro.vision.features import expected_feature_count
@@ -42,8 +42,7 @@ _ONEPLUS_SURF_BASE = 2.0
 _ONEPLUS_PAIR_COST = 6.0e-6
 
 
-@dataclass(frozen=True)
-class DeviceProfile:
+class DeviceProfile(NamedTuple):
     """One compute platform."""
 
     name: str

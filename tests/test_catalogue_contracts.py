@@ -51,9 +51,47 @@ def edge_outage_cascade(run, metrics, relocations):
     assert metrics["faults_injected"] == metrics["faults_cleared"] == n_faults
 
 
+def intermittent_connectivity(run, metrics, relocations):
+    """The S1 link flaps: pings sent while it is down are lost, pings
+    sent while it is up are answered, and every outage is cleared.
+
+    Each ping runs at ``ping_interval`` from ``run.start_at`` for the
+    run's ``duration``; each flap cycle takes the link down for
+    ``period * duty`` (the last one cut at ``until``).  A ping in
+    flight at an up or down edge can land on either side of it, so the
+    loss may differ from the down time's share by one ping per UE and
+    edge (every round trip is shorter than the ping interval).
+    """
+    (flap,) = run.sections["faults"]
+    assert flap["type"] == "link_flap"
+    assert run.stagger == 0         # every UE pings over one window
+    starts = []
+    t = flap["at"]
+    while t < flap["until"]:
+        starts.append(t)
+        t += flap["period"]
+    window_end = run.start_at + run.duration
+    down = sum(max(0.0, min(t + flap["period"] * flap["duty"],
+                            flap["until"], window_end)
+                   - max(t, run.start_at))
+               for t in starts)
+    expected_lost = run.n_ues * down / run.ping_interval
+    edges = 2 * len(starts) * run.n_ues
+
+    assert metrics["median_rtt_ms"] < run.ping_interval * 1e3
+    assert metrics["pings_answered"] + metrics["pings_lost"] \
+        == run.n_ues * run.probes
+    assert metrics["pings_lost"] > 0
+    assert metrics["pings_answered"] > 0
+    assert abs(metrics["pings_lost"] - expected_lost) <= edges
+    assert metrics["faults_injected"] == metrics["faults_cleared"] \
+        == len(starts)
+
+
 CONTRACTS = {
     "satellite_backhaul": satellite_backhaul,
     "edge_outage_cascade": edge_outage_cascade,
+    "intermittent_connectivity": intermittent_connectivity,
 }
 
 

@@ -45,10 +45,6 @@ class TestFlowMatch:
         assert FlowMatch(src_port=40000).matches(bare_packet())
         assert not FlowMatch(src_port=1).matches(bare_packet())
 
-    def test_describe(self):
-        assert FlowMatch().describe() == "any"
-        assert "teid=7" in FlowMatch(teid=7).describe()
-
 
 class TestActions:
     def test_encap_then_decap(self):

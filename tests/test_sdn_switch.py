@@ -163,9 +163,9 @@ class LinearTable:
         self.fast_path_hits = self.slow_path_hits = self.table_misses = 0
 
     def install(self, rule):
-        key = (rule.cookie, rule.priority, rule.match.describe())
+        key = (rule.cookie, rule.priority, rule.match)
         self.table = [r for r in self.table
-                      if (r.cookie, r.priority, r.match.describe()) != key]
+                      if (r.cookie, r.priority, r.match) != key]
         self.table.append(rule)
         self.table.sort(key=lambda r: -r.priority)
         self.cache.clear()
@@ -338,9 +338,9 @@ def test_shared_rule_keeps_per_switch_order():
 def test_table_path_formats_no_strings(monkeypatch):
     """Install, replace, lookup and remove never format a match."""
     def refuse(self):
-        raise AssertionError("describe() called on the flow-table path")
+        raise AssertionError("a match was formatted on the flow-table path")
 
-    monkeypatch.setattr(FlowMatch, "describe", refuse)
+    monkeypatch.setattr(FlowMatch, "__repr__", refuse)
     sim, src, switch, dst = build(profile=ACACIA_OVS_PROFILE)
     switch.install(FlowRule(FlowMatch(dst_ip="10.0.0.2"), [Output("out")],
                             cookie="c"))
