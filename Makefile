@@ -17,12 +17,12 @@ perfbench-selftest:   ## benchmark self-tests, every figure benchmark collects, 
 	$(PYTHON) perfbench/run.py --workload attach_storm --seconds 0 --trace 1
 	$(PYTHON) perfbench/run.py --workload ar_session --seconds 0 --trace 1
 
-exp-smoke:   ## tiny 2-seed experiment spec end-to-end through the parallel runner
-	PYTHONPATH=src $(PYTHON) -m repro exp run smoke --workers 2
+exp-smoke:   ## tiny 2-seed smoke scenario end-to-end through the parallel runner
+	PYTHONPATH=src $(PYTHON) -m repro scenario run smoke --workers 2
 
 scenario-validate:   ## validate the whole scenario catalogue, then run the CI smoke scenario
 	PYTHONPATH=src $(PYTHON) -m repro scenario validate
-	PYTHONPATH=src $(PYTHON) -m repro scenario run quick_test --serial --output /tmp/quick_test_result.json
+	PYTHONPATH=src $(PYTHON) -m repro scenario run quick_test --output /tmp/quick_test_result.json
 
 reachability:   ## functions in src/repro that no shipped run reaches (16-18 min on 2 CPUs)
 	$(PYTHON) tools/reachability.py

@@ -7,18 +7,19 @@ S11/S5/Gx paths.  This bench sweeps how many UEs activate a dedicated
 MEC bearer simultaneously and reports the measured setup-latency
 distribution -- the Section 5.4 bearer-setup sequence under load.
 
-The measurement itself is the declarative ``bearer-setup`` preset
-driven through the experiment runner, so ``python -m repro exp run
-bearer-setup`` regenerates exactly these numbers.
+The measurement itself is the ``bearer-setup`` scenario document
+driven through the experiment runner, so ``python -m repro scenario
+run bearer-setup`` regenerates exactly these numbers.
 """
 
-from repro.exp import ExperimentRunner, preset
+from repro.exp import ExperimentRunner
+from repro.scenario import load
 
 SWEEP = (1, 5, 10, 25, 50)
 
 
 def test_bearer_setup_latency_vs_load(report):
-    spec = preset("bearer-setup")
+    spec = load("bearer-setup").compile()
     outcome = ExperimentRunner(spec).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
     metrics = outcome.metrics_by("n_ues")

@@ -10,16 +10,17 @@ Paper shape: below saturation the MEC server's proximity dominates;
 at/over ~90-100 Mbps the two shared designs explode while ACACIA stays
 flat at its low baseline.
 
-The measurement itself is the declarative ``fig10b`` preset (see
-:mod:`repro.exp.presets`) driven through the experiment runner, so
-``python -m repro exp run fig10b`` regenerates exactly these numbers.  The
-trials run on two worker processes; the runner's output does not
-depend on the worker count.
+The measurement itself is the ``fig10b`` scenario document (tagged
+``preset`` in ``scenarios/``) driven through the experiment runner,
+so ``python -m repro scenario run fig10b`` regenerates exactly these
+numbers.  The trials run on two worker processes; the runner's output
+does not depend on the worker count.
 """
 
 import pytest
 
-from repro.exp import ExperimentRunner, preset
+from repro.exp import ExperimentRunner
+from repro.scenario import load
 
 SYSTEM_LABELS = {"conventional": "Conventional EPC",
                  "mec-shared": "EPC with MEC",
@@ -28,7 +29,7 @@ BG_RATES_MBPS = [0, 40, 80, 100]
 
 
 def test_fig10b_isolation(report):
-    spec = preset("fig10b")
+    spec = load("fig10b").compile()
     outcome = ExperimentRunner(spec, workers=2).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
     metrics = outcome.metrics_by("system", "bg_mbps")

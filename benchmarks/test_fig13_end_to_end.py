@@ -9,21 +9,23 @@ network latency 3.15x vs CLOUD (edge path + dedicated bearer); MEC
 alone gives ~25% end-to-end reduction over CLOUD; ACACIA reaches ~60%
 over MEC and ~70% over CLOUD.
 
-The measurement itself is the declarative ``fig13`` preset (see
-:mod:`repro.exp.presets`) driven through the experiment runner, so
-``python -m repro exp run fig13`` regenerates exactly these numbers.
+The measurement itself is the ``fig13`` scenario document (tagged
+``preset`` in ``scenarios/``) driven through the experiment runner,
+so ``python -m repro scenario run fig13`` regenerates exactly these
+numbers.
 """
 
 import pytest
 
-from repro.exp import ExperimentRunner, preset
+from repro.exp import ExperimentRunner
+from repro.scenario import load
 
 KINDS = ("acacia", "mec", "cloud")
 FRAMES = 8
 
 
 def test_fig13_end_to_end(report):
-    spec = preset("fig13")
+    spec = load("fig13").compile()
     outcome = ExperimentRunner(spec).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
     metrics = outcome.metrics_by("kind")

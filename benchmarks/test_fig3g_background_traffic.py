@@ -6,23 +6,24 @@ with controlled link delays giving ~70 / 18 / 8 ms baseline RTTs.
 Paper shape: latency is flat at the baseline until the shared gateways
 saturate (~90-100 Mbps), then explodes towards seconds.
 
-The measurement itself is the declarative ``fig3g`` preset (see
-:mod:`repro.exp.presets`) driven through the experiment runner, so
-``python -m repro exp run fig3g`` regenerates exactly these numbers.  The
-trials run on two worker processes; the runner's output does not
-depend on the worker count.
+The measurement itself is the ``fig3g`` scenario document (tagged
+``preset`` in ``scenarios/``) driven through the experiment runner,
+so ``python -m repro scenario run fig3g`` regenerates exactly these
+numbers.  The trials run on two worker processes; the runner's output
+does not depend on the worker count.
 """
 
 import pytest
 
-from repro.exp import ExperimentRunner, preset
+from repro.exp import ExperimentRunner
+from repro.scenario import load
 
 RTT_LABELS = {70: "70 ms", 18: "18 ms", 8: "8 ms"}
 BG_RATES_MBPS = [0, 40, 80, 90, 100]
 
 
 def test_fig3g_background_traffic(report):
-    spec = preset("fig3g")
+    spec = load("fig3g").compile()
     outcome = ExperimentRunner(spec, workers=2).run()
     assert outcome.ok, [f.error for f in outcome.failures()]
     metrics = outcome.metrics_by("rtt_ms", "bg_mbps")

@@ -5,9 +5,9 @@ An :class:`ExperimentSpec` names a workload (see
 axes to cross; :class:`ExperimentRunner` fans the resulting trials out
 over worker processes (or runs them serially -- the results are
 byte-identical either way) and collects structured JSON with per-trial
-provenance.  Preset specs for the paper's figures live in
-:mod:`repro.exp.presets`; ``PRESETS`` and ``preset`` are loaded from it
-on first use, because building them compiles the whole catalogue.
+provenance.  The specs for the paper's figures are scenario documents
+tagged ``preset`` in the ``scenarios/`` catalogue:
+``repro.scenario.load(name).compile()`` builds one.
 """
 
 from repro.exp.runner import (ExperimentResult, ExperimentRunner,
@@ -19,18 +19,10 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRunner",
     "ExperimentSpec",
-    "PRESETS",
     "TrialResult",
     "TrialSpec",
     "WORKLOADS",
-    "preset",
     "run_trial",
     "workload",
 ]
 
-
-def __getattr__(name: str):
-    if name in ("PRESETS", "preset"):
-        from repro.exp import presets
-        return getattr(presets, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,8 +17,10 @@ seeds.  The layer splits into:
 
 This package is the only one allowed to turn raw document dicts into
 deployments (see the layering gates in ``tests/test_layering.py``),
-and it must not import :mod:`repro.exp` at module scope -- presets
-are built *from* scenarios, so the dependency points the other way.
+and it must not import :mod:`repro.exp` at module scope, nor
+:mod:`repro.exp` import it: compilation and the ``"scenario"``
+workload cross the boundary only at call time.  Every catalogue run,
+the paper's figures included, is ``load(name).compile()``.
 """
 
 from repro.scenario.document import (GENERIC_WORKLOAD,

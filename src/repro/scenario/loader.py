@@ -4,8 +4,8 @@ JSON is the native format (stdlib only); YAML documents load too when
 PyYAML is importable -- the dependency is gated, never required, so
 the scenario layer works on a bare ``numpy``-only install.  The
 shipped catalogue lives in ``scenarios/`` at the repository root; the
-preset layer (:mod:`repro.exp.presets`) and the ``scenario`` CLI both
-resolve names through :func:`catalogue` / :func:`load`.
+``scenario`` CLI, the figure benchmarks and the tests all resolve
+names through :func:`catalogue` / :func:`load`.
 """
 
 from __future__ import annotations

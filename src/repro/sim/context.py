@@ -26,11 +26,11 @@ everything a deterministic experiment needs.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.hooks import HookBus
 
 
@@ -66,14 +66,6 @@ class SimContext:
     def now(self) -> float:
         return self.sim.now
 
-    def schedule(self, delay: float, fn: Callable[..., Any],
-                 *args: Any, priority: int = 0) -> Event:
-        return self.sim.schedule(delay, fn, *args, priority=priority)
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        self.sim.run(until=until, max_events=max_events)
-
     # -- hooks ------------------------------------------------------------
 
     @property
@@ -94,10 +86,6 @@ class SimContext:
             gen = np.random.default_rng(self.seed_sequence(name))
             self._streams[name] = gen
         return gen
-
-    def stream_names(self) -> tuple[str, ...]:
-        """Streams materialised so far (diagnostics / provenance)."""
-        return tuple(sorted(self._streams))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SimContext seed={self.seed} t={self.sim.now:.6f} "

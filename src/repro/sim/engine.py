@@ -158,10 +158,10 @@ class Future:
 
     Producers (a signalling channel delivering a message, for example)
     call :meth:`resolve` or :meth:`reject` exactly once; consumers
-    either ``yield`` the future from a process or attach a callback.
+    ``yield`` the future from a process.
     """
 
-    __slots__ = ("_sim", "done", "value", "error", "_waiters", "_callbacks")
+    __slots__ = ("_sim", "done", "value", "error", "_waiters")
 
     def __init__(self, sim: "Simulator") -> None:
         self._sim = sim
@@ -169,18 +169,14 @@ class Future:
         self.value: Any = None
         self.error: Optional[BaseException] = None
         self._waiters: list["Process"] = []
-        self._callbacks: list[Callable[["Future"], Any]] = []
 
     def _settle(self) -> None:
         waiters, self._waiters = self._waiters, []
-        callbacks, self._callbacks = self._callbacks, []
         for waiter in waiters:
             if self.error is not None:
                 self._sim._schedule_step(waiter._step, None, self.error)
             else:
                 self._sim._schedule_step(waiter._step, self.value)
-        for fn in callbacks:
-            fn(self)
 
     def resolve(self, value: Any = None) -> None:
         """Complete the future; waiting processes resume at ``now``."""
@@ -197,13 +193,6 @@ class Future:
         self.done = True
         self.error = error
         self._settle()
-
-    def add_done_callback(self, fn: Callable[["Future"], Any]) -> None:
-        """Run ``fn(future)`` when settled (immediately if already done)."""
-        if self.done:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("rejected" if self.error is not None

@@ -3,7 +3,9 @@ full horizon and must meet the claim its description makes.
 
 Every bound is derived from the document itself (its delays, its UE
 count, its fault list), never from a previously observed output.  Each
-document is run twice; the two runs must give identical metrics.
+document is run twice; the two runs must give identical metrics.  A
+contract receives one ``(run, metrics, relocations)`` triple per trial,
+in trial order.
 """
 
 import pytest
@@ -14,21 +16,24 @@ from repro.scenario.runtime import ScenarioRun
 
 
 def _run(name):
-    """Drive the document's single trial to its end; return the run,
-    its metrics and every ``SessionRelocated`` it announced."""
-    (trial,) = load(name).compile().trials()
-    run = ScenarioRun(trial)
-    relocations = []
-    run.network.hooks.on(SessionRelocated, relocations.append)
-    for time, callback in run.milestones():
-        run.sim.run(until=time)
-        callback()
-    return run, run.collect(), relocations
+    """Drive every trial of the document to its end; return, per trial,
+    the run, its metrics and every ``SessionRelocated`` it announced."""
+    results = []
+    for trial in load(name).compile().trials():
+        run = ScenarioRun(trial)
+        relocations = []
+        run.network.hooks.on(SessionRelocated, relocations.append)
+        for time, callback in run.milestones():
+            run.sim.run(until=time)
+            callback()
+        results.append((run, run.collect(), relocations))
+    return results
 
 
-def satellite_backhaul(run, metrics, relocations):
+def satellite_backhaul(results):
     """~270 ms of one-way backhaul that nothing behind the core hides:
     every probe pays the backhaul, core and internet legs both ways."""
+    ((run, metrics, _),) = results
     network = run.sections["network"]
     one_way = (network["backhaul_delay"] + network["core_delay"]
                + network["internet_delay"])
@@ -36,9 +41,10 @@ def satellite_backhaul(run, metrics, relocations):
     assert metrics["median_rtt_ms"] >= 2 * one_way * 1e3
 
 
-def edge_outage_cascade(run, metrics, relocations):
+def edge_outage_cascade(results):
     """Relocations skip the site whose CI server is dark, and every
     session survives both faults."""
+    ((run, metrics, relocations),) = results
     outage_sites = {f["server"].removeprefix("ci-")
                     for f in run.sections["faults"]
                     if f["type"] == "mc_server_outage"}
@@ -51,7 +57,7 @@ def edge_outage_cascade(run, metrics, relocations):
     assert metrics["faults_injected"] == metrics["faults_cleared"] == n_faults
 
 
-def intermittent_connectivity(run, metrics, relocations):
+def intermittent_connectivity(results):
     """The S1 link flaps: pings sent while it is down are lost, pings
     sent while it is up are answered, and every outage is cleared.
 
@@ -62,6 +68,7 @@ def intermittent_connectivity(run, metrics, relocations):
     loss may differ from the down time's share by one ping per UE and
     edge (every round trip is shorter than the ping interval).
     """
+    ((run, metrics, _),) = results
     (flap,) = run.sections["faults"]
     assert flap["type"] == "link_flap"
     assert run.stagger == 0         # every UE pings over one window
@@ -88,17 +95,38 @@ def intermittent_connectivity(run, metrics, relocations):
         == len(starts)
 
 
+def dual_site_relocation(results):
+    """Walkers cross the single site boundary once each, their sessions
+    survive, and make-before-break interrupts them for less time than
+    break-before-make."""
+    interruption = {}
+    for run, metrics, _ in results:
+        topology = run.sections["topology"]
+        assert topology["sites"] == 2
+        cells = topology["sites"] * topology["enbs_per_site"]
+        assert metrics["relocations_started"] \
+            == metrics["relocations_completed"] == run.n_ues
+        assert metrics["handovers"] == run.n_ues * (cells - 1)
+        assert metrics["sessions_alive"] == run.n_ues
+        assert metrics["session_failures"] == 0
+        interruption[run.trial.param_dict["policy"]] = \
+            metrics["interruption_ms_mean"]
+    assert (interruption["make-before-break"]
+            < interruption["break-before-make"])
+
+
 CONTRACTS = {
     "satellite_backhaul": satellite_backhaul,
     "edge_outage_cascade": edge_outage_cascade,
     "intermittent_connectivity": intermittent_connectivity,
+    "dual_site_relocation": dual_site_relocation,
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACTS))
 def test_document_meets_its_claim_deterministically(name):
-    run, metrics, relocations = _run(name)
-    CONTRACTS[name](run, metrics, relocations)
-    _, rerun_metrics, rerun_relocations = _run(name)
-    assert rerun_metrics == metrics
-    assert rerun_relocations == relocations
+    results = _run(name)
+    CONTRACTS[name](results)
+    rerun = _run(name)
+    assert [m for _, m, _ in rerun] == [m for _, m, _ in results]
+    assert [r for _, _, r in rerun] == [r for _, _, r in results]

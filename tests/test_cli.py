@@ -75,78 +75,25 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_exp_list_shows_every_preset(capsys):
-    from repro.exp import PRESETS
-    assert main(["exp", "list"]) == 0
-    out = capsys.readouterr().out
-    for name in PRESETS:
-        assert name in out
-
-
-def test_exp_show_prints_spec_json_digests_and_seed_table(capsys):
-    import json
-
-    from repro.exp import preset
-    from repro.scenario import load
-    assert main(["exp", "show", "smoke"]) == 0
-    out = capsys.readouterr().out
-    spec_json, _, rest = out.partition("\nspec digest: ")
-    spec = json.loads(spec_json)
-    assert spec["name"] == "smoke"
-    assert spec["workload"] == "ping"
-    assert preset("smoke").digest() in rest
-    assert load("smoke").digest() in rest
-    # the per-trial seed table pairs sweep cells on the base seed
-    for trial in preset("smoke").trials():
-        assert str(trial.seed) in rest
-        assert f"  {trial.index:>3}  " in rest
-    assert "paired" in rest
-
-
-def test_exp_unknown_preset_fails_cleanly(capsys):
-    assert main(["exp", "show", "fig99"]) == 2
-    assert "unknown preset" in capsys.readouterr().err
-    assert main(["exp", "run", "fig99"]) == 2
-
-
-def test_exp_run_writes_canonical_results(capsys, monkeypatch, tmp_path):
-    import json
-
-    from repro.exp import ExperimentSpec, PRESETS, workload
-
-    @workload("_cli_probe")
-    def probe(trial):
-        return {"x": trial.param_dict["x"]}
-
-    monkeypatch.setitem(PRESETS, "_cli-probe", ExperimentSpec(
-        name="_cli-probe", workload="_cli_probe", sweep={"x": (1, 2)}))
-    out_file = tmp_path / "results.json"
-    assert main(["exp", "run", "_cli-probe",
-                 "--output", str(out_file)]) == 0
-    data = json.loads(out_file.read_text())
-    assert [t["metrics"]["x"] for t in data["trials"]] == [1, 2]
-    assert all(t["status"] == "ok" for t in data["trials"])
-
-
-def test_exp_run_reports_failures_with_nonzero_exit(capsys, monkeypatch):
-    from repro.exp import ExperimentSpec, PRESETS, workload
-
-    @workload("_cli_boom")
-    def boom(trial):
-        raise RuntimeError("kaput")
-
-    monkeypatch.setitem(PRESETS, "_cli-boom", ExperimentSpec(
-        name="_cli-boom", workload="_cli_boom"))
-    assert main(["exp", "run", "_cli-boom"]) == 1
-    assert "kaput" in capsys.readouterr().err
-
-
 def test_scenario_list_shows_whole_catalogue(capsys):
     from repro.scenario import catalogue
     assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out
     for name in catalogue():
         assert name in out
+
+
+def test_exp_list_shows_every_preset(capsys):
+    from repro.scenario import catalogue, load
+    assert main(["scenario", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    presets = [name for name in catalogue()
+               if "preset" in load(name).tags]
+    assert presets
+    for name in presets:
+        line = next(line for line in lines
+                    if line.split()[:1] == [name])
+        assert "preset" in line
 
 
 def test_scenario_show_prints_document_and_digest(capsys):
@@ -159,6 +106,19 @@ def test_scenario_show_prints_document_and_digest(capsys):
     assert json.loads(document)["scenario"]["name"] == "quick_test"
     assert load("quick_test").digest() in rest
     assert "compiles to" in rest
+
+
+def test_scenario_show_prints_every_trial_seed(capsys):
+    from repro.scenario import load
+    assert main(["scenario", "show", "smoke"]) == 0
+    rest = capsys.readouterr().out.partition("\nscenario digest: ")[2]
+    spec = load("smoke").compile()
+    assert spec.digest() in rest
+    # the per-trial seed table pairs sweep cells on the base seed
+    for trial in spec.trials():
+        assert f"  {trial.index:>3}  {trial.base_seed:>9}  " \
+            f"{trial.seed:>20}  " in rest
+    assert "paired" in rest
 
 
 def test_scenario_validate_whole_catalogue(capsys):
@@ -187,6 +147,16 @@ def test_scenario_unknown_name_fails_cleanly(capsys):
     assert main(["scenario", "show", "no_such"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
     assert main(["scenario", "run", "no_such"]) == 2
+
+
+def test_exp_unknown_preset_fails_cleanly(capsys, tmp_path):
+    out_file = tmp_path / "results.json"
+    assert main(["scenario", "show", "fig99"]) == 2
+    assert "unknown scenario" in capsys.readouterr().err
+    assert main(["scenario", "run", "fig99",
+                 "--output", str(out_file)]) == 2
+    assert "unknown scenario" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def test_scenario_run_jsonl_embeds_digest(capsys):
@@ -221,3 +191,46 @@ def test_scenario_run_json_wraps_result_with_provenance(tmp_path,
     for trial in data["trials"]:
         assert trial["provenance"]["scenario_digest"] \
             == scenario.digest()
+
+
+def test_exp_run_writes_canonical_results(capsys, monkeypatch, tmp_path):
+    import json
+
+    from repro.exp import WORKLOADS
+
+    def probe(trial):
+        return {"x": trial.param_dict["x"]}
+
+    monkeypatch.setitem(WORKLOADS, "_cli_probe", probe)
+    document = {"scenario": {"name": "cli_probe", "version": 1,
+                             "description": "a two-cell probe sweep"},
+                "experiment": {"workload": "_cli_probe", "seeds": [1],
+                               "sweep": {"x": [1, 2]}}}
+    path = tmp_path / "cli_probe.json"
+    path.write_text(json.dumps(document))
+    out_file = tmp_path / "results.json"
+    assert main(["scenario", "run", str(path),
+                 "--output", str(out_file)]) == 0
+    data = json.loads(out_file.read_text())
+    assert [t["metrics"]["x"] for t in data["trials"]] == [1, 2]
+    assert all(t["status"] == "ok" for t in data["trials"])
+
+
+def test_scenario_run_reports_failures_with_nonzero_exit(capsys,
+                                                         monkeypatch,
+                                                         tmp_path):
+    import json
+
+    from repro.exp import WORKLOADS
+
+    def boom(trial):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setitem(WORKLOADS, "_cli_boom", boom)
+    document = {"scenario": {"name": "cli_boom", "version": 1,
+                             "description": "a trial that raises"},
+                "experiment": {"workload": "_cli_boom", "seeds": [1]}}
+    path = tmp_path / "cli_boom.json"
+    path.write_text(json.dumps(document))
+    assert main(["scenario", "run", str(path)]) == 1
+    assert "kaput" in capsys.readouterr().err

@@ -122,7 +122,12 @@ class TestContextTransfer:
         start = net.sim.now
         done_at = []
         future = net.context_transfer_async("edge0", "edge1", nbytes)
-        future.add_done_callback(lambda f: done_at.append(net.sim.now))
+
+        def waiter():
+            yield future
+            done_at.append(net.sim.now)
+
+        net.sim.spawn(waiter())
         net.sim.run(until=5.0)
         assert future.done
         # serialisation at wan_bandwidth plus propagation; headers and
@@ -348,11 +353,11 @@ def continuity_runs():
     """The ``continuity`` preset's trials, each driven to the end as a
     :class:`~repro.scenario.runtime.ScenarioRun` so the tests can read
     the sessions themselves, keyed by ``(policy, n_ues)``."""
-    from repro.exp import preset
+    from repro.scenario import load
     from repro.scenario.runtime import ScenarioRun
 
     runs = {}
-    for trial in preset("continuity").trials():
+    for trial in load("continuity").compile().trials():
         run = ScenarioRun(trial)
         for time, callback in run.milestones():
             run.sim.run(until=time)

@@ -9,10 +9,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.exp import (ExperimentRunner, ExperimentSpec, PRESETS, preset,
-                       run_trial, workload)
+from repro.exp import ExperimentRunner, ExperimentSpec, run_trial, workload
 from repro.exp.spec import TrialSpec
 from repro.exp.workloads import WORKLOADS
+from repro.scenario import ScenarioError, catalogue, load
 from repro.sim.context import derive_seed
 
 
@@ -159,7 +159,7 @@ def test_scale_preset_identical_for_one_and_two_workers():
     """A real preset, not a test double: the ``scale`` attach storms
     give byte-identical canonical output serially and on two worker
     processes (the figure benchmarks rely on this to run in parallel)."""
-    spec = preset("scale")
+    spec = load("scale").compile()
     serial = ExperimentRunner(spec, workers=1).run()
     parallel = ExperimentRunner(spec, workers=2).run()
     assert serial.ok and len(serial.trials) == 4
@@ -241,14 +241,15 @@ def test_pool_worker_frees_each_world_before_its_next_trial(release_probe):
 # ---------------------------------------------------------------------------
 
 def test_presets_name_known_workloads():
-    from repro.exp.workloads import WORKLOADS
-    for name, spec in PRESETS.items():
-        assert spec.name == name
+    presets = [s for s in map(load, catalogue()) if "preset" in s.tags]
+    assert presets
+    for scenario in presets:
+        spec = scenario.compile()
+        assert spec.name == scenario.name
         assert spec.workload in WORKLOADS
         assert spec.trials()     # every preset expands to >= 1 trial
 
 
 def test_preset_lookup_fails_cleanly():
-    assert preset("smoke") is PRESETS["smoke"]
-    with pytest.raises(KeyError):
-        preset("fig99")
+    with pytest.raises(ScenarioError, match="unknown scenario 'fig99'"):
+        load("fig99")

@@ -33,12 +33,8 @@ FORBIDDEN = {
     "core": {"repro.baselines", "repro.scenario", "repro.ops"},
     "apps": {"repro.baselines", "repro.scenario", "repro.ops"},
     "baselines": {"repro.scenario", "repro.exp", "repro.ops"},
-    # presets are compiled *from* scenario documents, so the exp
-    # package may import repro.scenario (see exp/presets.py) but the
-    # scenario layer must never reach back into repro.exp at module
-    # scope -- Scenario.compile() imports the spec lazily.
     "scenario": {"repro.exp", "repro.ops"},
-    "exp": {"repro.ops"},
+    "exp": {"repro.scenario", "repro.ops"},
 }
 
 

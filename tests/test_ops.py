@@ -106,7 +106,7 @@ def test_scenario_schema_pins_ops_sections():
 def test_unpaced_advance_parks_clock_and_yields():
     ctx = SimContext(seed=0)
     fired = []
-    ctx.schedule(1.0, lambda: fired.append(ctx.now))
+    ctx.sim.schedule(1.0, lambda: fired.append(ctx.now))
     pacer = Pacer(ctx.sim, PacerConfig(rtf=0.0, quantum=0.25))
     asyncio.run(pacer.advance(5.0))
     assert fired == [1.0]
@@ -118,7 +118,7 @@ def test_unpaced_advance_parks_clock_and_yields():
 def test_paced_advance_tracks_wall_clock():
     ctx = SimContext(seed=0)
     for k in range(10):
-        ctx.schedule(0.1 * (k + 1), lambda: None)
+        ctx.sim.schedule(0.1 * (k + 1), lambda: None)
     # 1 simulated second at rtf=20 -> ~50ms wall
     pacer = Pacer(ctx.sim, PacerConfig(rtf=20.0, quantum=0.1))
     start = time.monotonic()
@@ -138,8 +138,8 @@ def test_pacer_stop_request_breaks_out_early():
     def stopper():
         pacer.stop_requested = True
 
-    ctx.schedule(1.0, stopper)
-    ctx.schedule(50.0, lambda: None)
+    ctx.sim.schedule(1.0, stopper)
+    ctx.sim.schedule(50.0, lambda: None)
     pacer = Pacer(ctx.sim, PacerConfig(rtf=0.0, quantum=0.5))
     asyncio.run(pacer.advance(100.0))
     assert ctx.now < 100.0
@@ -201,7 +201,7 @@ def test_matcher_service_completes_and_measures_latency():
     ctx, svc = make_service(workers=1, service_time=0.1)
     for _ in range(3):
         assert svc.submit()
-    ctx.run(until=1.0)
+    ctx.sim.run(until=1.0)
     assert svc.completed == 3
     assert svc.busy == 0 and svc.queue_depth == 0
     # FIFO behind one worker: latencies 100, 200, 300 ms
@@ -218,7 +218,7 @@ def test_matcher_service_sheds_beyond_max_queue():
     assert accepted == [True, True, True, False, False]
     assert svc.dropped == 2
     assert svc.load() == 1.0
-    ctx.run(until=10.0)
+    ctx.sim.run(until=10.0)
     assert svc.completed == 3
     assert svc.load() == 0.0
 
@@ -229,7 +229,7 @@ def test_matcher_scale_up_drains_queue_faster():
                                 max_queue=64)
         for _ in range(8):
             svc.submit()
-        ctx.run(until=10.0)
+        ctx.sim.run(until=10.0)
         return max(svc.latencies)
 
     assert drain_time(4) < drain_time(1)
@@ -241,7 +241,7 @@ def test_matcher_scale_down_is_graceful():
         svc.submit()
     assert svc.busy == 4
     svc.scale_to(1)             # in-flight jobs still complete
-    ctx.run(until=2.0)
+    ctx.sim.run(until=2.0)
     assert svc.completed == 4
     assert svc.workers == 1
     with pytest.raises(ValueError):
@@ -254,7 +254,7 @@ def test_matcher_service_latencies_are_seed_deterministic():
                                 jitter=0.05, max_queue=64, seed=seed)
         for _ in range(6):
             svc.submit()
-        ctx.run(until=5.0)
+        ctx.sim.run(until=5.0)
         return list(svc.latencies)
 
     assert run(7) == run(7)
@@ -268,8 +268,8 @@ def test_build_services_sorted_per_site_streams():
                               workers=2)
     assert list(services) == ["alpha", "zeta"]
     assert all(s.workers == 2 for s in services.values())
-    assert ("ops.match.alpha" in ctx.stream_names()
-            and "ops.match.zeta" in ctx.stream_names())
+    assert all(s.rng is ctx.rng(f"ops.match.{site}")
+               for site, s in services.items())
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def test_load_generator_offers_thinned_poisson_arrivals():
     gen.start_generation()
     with pytest.raises(RuntimeError, match="already started"):
         gen.start_generation()
-    ctx.run(until=200.0)
+    ctx.sim.run(until=200.0)
     # ~500 arrivals/site expected; allow generous Poisson slack
     for svc in services.values():
         assert 350 <= svc.submitted <= 650
@@ -325,7 +325,7 @@ def test_load_generator_draw_count_independent_of_curve_shape():
                                  DiurnalLoadModel(cfg, 50.0),
                                  start=0.0, end=50.0)
         gen.start_generation()
-        ctx.run(until=60.0)
+        ctx.sim.run(until=60.0)
         return float(ctx.rng("ops.load").random())
 
     flat = final_draw(LoadConfig(base_rps=10.0, peak_rps=10.0))
@@ -369,8 +369,8 @@ def test_autoscaler_cooldown_spaces_actions():
     assert svc.workers == 2
     scaler.evaluate()           # still hot, but cooling
     assert svc.workers == 2
-    ctx.schedule(200.0, scaler.evaluate)
-    ctx.run(until=201.0)        # cooldown elapsed, queue still deep
+    ctx.sim.schedule(200.0, scaler.evaluate)
+    ctx.sim.run(until=201.0)        # cooldown elapsed, queue still deep
     assert svc.workers == 3
 
 
@@ -417,7 +417,7 @@ def test_autoscaler_periodic_ticks_emit_events():
     for _ in range(30):
         svc.submit()
     scaler.start(until=20.0)
-    ctx.run(until=100.0)
+    ctx.sim.run(until=100.0)
     assert scaler.scale_ups >= 2
     assert ups[0].site == "mec0" and ups[0].from_workers == 1
 

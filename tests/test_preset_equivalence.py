@@ -1,11 +1,12 @@
 """Preset <-> scenario equivalence against pre-refactor goldens.
 
 The presets used to be hand-coded ``ExperimentSpec`` literals; they
-are now compiled from scenario documents.  The goldens under
-``tests/goldens/`` were pinned from the pre-refactor code, so these
-tests prove the refactor changed *nothing*: every compiled spec is
-byte-identical to its hand-coded ancestor, and running the ``smoke``
-preset reproduces the exact canonical result bytes.
+are now the catalogue documents tagged ``preset``, each built with
+``load(name).compile()``.  The goldens under ``tests/goldens/`` were
+pinned from the pre-refactor code, so these tests prove the refactor
+changed *nothing*: every compiled spec is byte-identical to its
+hand-coded ancestor, and running the ``smoke`` preset reproduces the
+exact canonical result bytes.
 """
 
 import json
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.exp import ExperimentRunner, PRESETS, preset
+from repro.exp import ExperimentRunner
+from repro.scenario import catalogue, load
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -22,12 +24,13 @@ with (GOLDENS / "preset_specs.json").open() as handle:
 
 
 def test_no_preset_appeared_or_vanished():
-    assert sorted(PRESETS) == sorted(GOLDEN_SPECS)
+    presets = [name for name in catalogue() if "preset" in load(name).tags]
+    assert sorted(presets) == sorted(GOLDEN_SPECS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
 def test_compiled_spec_matches_pre_refactor_golden(name):
-    compiled = json.dumps(preset(name).to_dict(), sort_keys=True,
+    compiled = json.dumps(load(name).compile().to_dict(), sort_keys=True,
                           indent=2)
     golden = json.dumps(GOLDEN_SPECS[name], sort_keys=True, indent=2)
     assert compiled == golden
@@ -35,7 +38,7 @@ def test_compiled_spec_matches_pre_refactor_golden(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
 def test_trial_seeds_are_unchanged(name):
-    spec = preset(name)
+    spec = load(name).compile()
     golden_spec = spec.from_dict(GOLDEN_SPECS[name])
     # params compare as dicts: the golden file was dumped with sorted
     # keys, and tuple order inside a trial does not affect results
@@ -45,6 +48,6 @@ def test_trial_seeds_are_unchanged(name):
 
 
 def test_smoke_run_is_byte_identical_to_pre_refactor():
-    result = ExperimentRunner(preset("smoke")).run()
+    result = ExperimentRunner(load("smoke").compile()).run()
     golden = (GOLDENS / "smoke_result.json").read_text()
     assert result.canonical_json() + "\n" == golden

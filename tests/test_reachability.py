@@ -13,10 +13,10 @@ import reachability  # noqa: E402
 
 @pytest.fixture(scope="module")
 def smoke(tmp_path_factory):
-    """What ``repro exp run smoke --workers 2`` reaches, and the
+    """What ``repro scenario run smoke --workers 2`` reaches, and the
     package's functions by ``(module, qualname)``."""
     reached = reachability.trace(
-        [sys.executable, "-m", "repro", "exp", "run", "smoke",
+        [sys.executable, "-m", "repro", "scenario", "run", "smoke",
          "--workers", "2"],
         cwd=ROOT, src=ROOT / "src", out=tmp_path_factory.mktemp("reach"))
     functions = {(f.module, f.qualname): f

@@ -142,10 +142,10 @@ def test_scale_preset_attach_storm_latency():
     population: every UE attaches, and contention on the shared
     signalling channels stretches the attach latency as the storm
     grows (read from each UE's attach result)."""
-    from repro.exp import preset
+    from repro.scenario import load
 
     pinned = {10: (69.51776, 74.83136), 200: (358.9184, 476.39776)}
-    for trial in preset("scale").trials():
+    for trial in load("scale").compile().trials():
         n_ues = trial.param_dict["n_ues"]
         if n_ues not in pinned:
             continue

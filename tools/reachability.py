@@ -9,7 +9,8 @@ functions of ``src/repro`` that none of them calls:
 * every document in ``scenarios/`` and ``perfbench/scenarios/``,
   through ``repro scenario run``;
 * the operator soak (``repro ops run diurnal_soak --duration 600``);
-* the experiment smoke run on two workers (``repro exp run smoke``);
+* the smoke run on two worker processes (``repro scenario run smoke
+  --workers 2``);
 * the read-only CLI commands.
 
 The runs happen in a temporary copy of the checkout, because the
@@ -181,11 +182,11 @@ def entry_points(checkout: Path) -> list[tuple[str, list[list[str]]]]:
     points.append(("ops:diurnal_soak",
                    [repro + ["ops", "run", "diurnal_soak",
                              "--duration", "600"]]))
-    points.append(("exp:smoke",
-                   [repro + ["exp", "run", "smoke", "--workers", "2"]]))
+    points.append(("workers:smoke",
+                   [repro + ["scenario", "run", "smoke",
+                             "--workers", "2"]]))
     points.append(("cli", [repro + args for args in (
         ["info"], ["experiments"], ["overhead"],
-        ["exp", "list"], ["exp", "show", "smoke"],
         ["scenario", "list"], ["scenario", "show", "quick_test"],
         ["scenario", "validate"])]))
     return points
